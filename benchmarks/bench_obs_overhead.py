@@ -2,7 +2,7 @@
 
 Two measurements:
 
-* **overhead** — fork-engine campaign throughput with the
+* **overhead** — production-engine campaign throughput with the
   :class:`repro.obs.profile.EngineProfiler` sampling at every attack
   boundary (exactly what the service's runner slots do) versus the same
   campaign with no observability at all.  The gated ratio compares the
@@ -57,7 +57,7 @@ SWEEPS = 16
 
 
 def _campaign_once(program, profiler=None):
-    """One production-shaped attack: fork engine, per-trial recording —
+    """One production-shaped attack: default engine, per-trial recording —
     and, on the metrics arm, the after-attack profiler sample.  The
     skip sweep covers every instruction, so one campaign is tens of
     trials over ~10 ms — the sampling granularity the service's runner
@@ -66,7 +66,6 @@ def _campaign_once(program, profiler=None):
         program,
         "integer_compare",
         [7, 7],
-        engine="fork",
         record_trials=True,
     )
     if profiler is not None:
@@ -127,7 +126,7 @@ def test_obs_overhead_within_five_percent():
     save_table(
         "obs_overhead",
         format_table(
-            "Observability overhead — fork-engine campaign throughput",
+            "Observability overhead — production-engine campaign throughput",
             ["Metric", "Value"],
             [[key, value] for key, value in payload.items()],
         ),

@@ -15,7 +15,7 @@ Run:  python examples/campaign_service.py            # full bootloader sweep
       python examples/campaign_service.py --quick    # integer_compare smoke
       python examples/campaign_service.py --quick --verify
                                                      # + assert service ==
-                                                     #   direct fork run
+                                                     #   direct local run
 
 The script hosts its own in-process service (HTTP on a random localhost
 port, fresh store); point ``ServiceClient`` at any ``python -m
@@ -115,7 +115,7 @@ def stream_tallies(client, jobs) -> dict[str, dict]:
 
 def verify_against_direct(results, jobs) -> int:
     """Cross-check every service report against a direct in-process
-    CampaignBuilder.run(engine="fork") of the same campaign."""
+    CampaignBuilder.run() of the same campaign."""
     from repro.service.jobs import ATTACK_SUITES, report_to_dict
 
     workbench = Workbench()
@@ -133,7 +133,7 @@ def verify_against_direct(results, jobs) -> int:
         )
         for spec in job.attacks:
             builder.attack(ATTACK_SUITES[spec.suite], **spec.kwargs)
-        direct = builder.run(engine="fork")
+        direct = builder.run()
         served = report_from_dict(results[job.title]["report"])
         if report_to_dict(direct) == report_to_dict(served):
             print(f"verified {job.title}: service == direct run")

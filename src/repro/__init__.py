@@ -42,7 +42,7 @@ def _detect_version() -> str:
 
         return version("repro-secure-branches")
     except Exception:
-        return "1.8.0"  # keep in sync with pyproject.toml
+        return "1.9.0"  # keep in sync with pyproject.toml
 
 
 __version__ = _detect_version()
@@ -77,18 +77,11 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def compile_minic(source, config=None, **kwargs):
-    """Compile MiniC source text; see :func:`repro.minic.driver.compile_source`.
-
-    Prefer ``compile_minic(source, config=CompileConfig(...))``; bare
-    keyword arguments are the deprecated legacy style.  Imported lazily so
-    the lightweight arithmetic API does not pull in the whole compiler
-    stack.
-    """
+def compile_minic(source, config=None):
+    """Compile MiniC source text under a ``CompileConfig``; see
+    :func:`repro.minic.driver.compile_source`.  Imported lazily so the
+    lightweight arithmetic API does not pull in the whole compiler
+    stack."""
     from repro.minic.driver import compile_source
-    from repro.toolchain.config import coerce_config
 
-    # Resolve the shim here so the DeprecationWarning points at *our*
-    # caller, not at this forwarding frame.
-    config = coerce_config(config, kwargs, "compile_minic")
     return compile_source(source, config=config)

@@ -183,17 +183,15 @@ class Table3Reproduction:
 
 
 def table3_report(
-    program, function, args, executor=None, engine: str = "fork",
-    max_skips: Optional[int] = None,
+    program, function, args, executor=None, max_skips: Optional[int] = None,
 ) -> CampaignReport:
     """Run the canonical Table III attacks against one compiled program.
 
     The building block for reproducing the table on workloads beyond the
     canonical ``integer_compare`` — run it per scheme on any device
     program (on any target) and feed the results to
-    :func:`reproduce_table3(reports=...) <reproduce_table3>`.  ``engine``
-    selects the trial engine (``"superblock"`` is the proven-identical
-    fast path for the full-sweep workloads).  ``max_skips`` bounds the
+    :func:`reproduce_table3(reports=...) <reproduce_table3>`.
+    ``max_skips`` bounds the
     ``skip-sweep`` to the first N dynamic instructions — required for
     long-running programs (the bootloader retires millions of
     instructions, so an unbounded one-trial-per-instruction sweep is
@@ -207,8 +205,7 @@ def table3_report(
         if suite == "skip-sweep" and max_skips is not None:
             kwargs = {**kwargs, "last": max_skips}
         result = ATTACK_SUITES[suite](
-            program, function, list(args), executor=executor, engine=engine,
-            **kwargs
+            program, function, list(args), executor=executor, **kwargs
         )
         if result.attack != label:
             result = dataclasses.replace(result, attack=label)

@@ -16,7 +16,6 @@ from repro.backend.frame import expand_constants, hoist_constants, lower_frame
 from repro.backend.isel import select_module
 from repro.backend.machine import CfiMerge, MachineFunction
 from repro.backend.regalloc import allocate
-from repro.core.params import ProtectionParams
 from repro.core.protect import protect_module
 from repro.ir.cfg import split_critical_edges
 from repro.ir.module import Module
@@ -27,7 +26,7 @@ from repro.isa.cycles import CycleModel
 from repro.cfi.monitor import CfiMonitor
 from repro.passes.lower_select import lower_selects
 from repro.passes.lower_switch import lower_switches
-from repro.toolchain.config import CompileConfig, coerce_config
+from repro.toolchain.config import CompileConfig
 
 
 @dataclass
@@ -69,7 +68,7 @@ class CompiledProgram:
         max_cycles: int = 10_000_000,
         cycle_model: Optional[CycleModel] = None,
         setup=None,
-        dispatch: str = "cached",
+        dispatch: str = "superblock",
         spec=None,
     ) -> ExecutionResult:
         cpu, result = self.run_cpu(
@@ -86,7 +85,7 @@ class CompiledProgram:
         cycle_model: Optional[CycleModel] = None,
         setup=None,
         pre_hooks=None,
-        dispatch: str = "cached",
+        dispatch: str = "superblock",
         spec=None,
     ):
         """Run and return (cpu, result) for tests that inspect state."""
@@ -103,7 +102,7 @@ class CompiledProgram:
         cycle_model: Optional[CycleModel] = None,
         setup=None,
         pre_hooks=None,
-        dispatch: str = "cached",
+        dispatch: str = "superblock",
         track_pages: bool = False,
         spec=None,
     ) -> CPU:
@@ -148,16 +147,7 @@ class CompiledProgram:
 
 
 def compile_ir(
-    module: Module,
-    scheme: Optional[str] = None,
-    params: Optional[ProtectionParams] = None,
-    cfi: Optional[bool] = None,
-    duplication_order: Optional[int] = None,
-    hw_modulo: Optional[bool] = None,
-    operand_checks: Optional[bool] = None,
-    cfi_policy: Optional[str] = None,
-    *,
-    config: Optional[CompileConfig] = None,
+    module: Module, *, config: Optional[CompileConfig] = None
 ) -> CompiledProgram:
     """Full pipeline: middle-end protection + back end + assembly.
 
@@ -168,22 +158,9 @@ def compile_ir(
     residues into the CFI state — extension), and the ``cfi_policy``
     state-justification strategy: ``merge`` (optimised; corrections only
     at joins) or ``edge`` (the paper's per-transfer updates — used for the
-    Table III comparison).  The individual keyword arguments are a
-    deprecated shim producing byte-identical output.
+    Table III comparison).
     """
-    config = coerce_config(
-        config,
-        {
-            "scheme": scheme,
-            "params": params,
-            "cfi": cfi,
-            "duplication_order": duplication_order,
-            "hw_modulo": hw_modulo,
-            "operand_checks": operand_checks,
-            "cfi_policy": cfi_policy,
-        },
-        "compile_ir",
-    )
+    config = config or CompileConfig()
     stats = protect_module(module, config=config)
 
     # Back-end legalisation for *all* functions.

@@ -413,16 +413,15 @@ def adversary_sweep(
     max_first: Optional[int] = None,
     prune_terminal: bool = True,
     max_cycles: int = 2_000_000,
-    engine: str = "fork",
     executor=None,
     record_trials: bool = False,
     spec=None,
 ) -> AttackResult:
     """Run the pruned k-fault adversary campaign as one attack suite.
 
-    Space generation always happens in-process on the fork engine (the
-    pre-pass *is* a pruning layer); the composite trials themselves then
-    run on ``engine`` — or shard across a
+    Space generation always happens in-process (the pre-pass *is* a
+    pruning layer); the composite trials themselves then run on the
+    production engine — or shard across a
     :class:`~repro.toolchain.executor.CampaignExecutor` unchanged, since
     a :class:`CompositeFault` is as picklable as any single fault.
 
@@ -452,7 +451,6 @@ def adversary_sweep(
         space.trials,
         adversary_sweep.attack_label,
         max_cycles=max_cycles,
-        engine=engine,
         executor=executor,
         record_trials=record_trials,
         spec=spec,

@@ -8,22 +8,19 @@ tree but still trips the prototype's CFI linking.
 
 Engines
 -------
-Every attack entry point takes an ``engine``:
+Every stock attack suite takes an ``engine``:
 
-* ``"fork"`` (default) — the fast path: one golden run per workload
-  (memoized on the program), trials forked from mid-run checkpoints via
-  :class:`~repro.faults.scheduler.TrialScheduler`.
-* ``"superblock"`` — checkpoint forking like ``"fork"``, but trial CPUs
-  run the exec-compiled trace dispatcher
-  (:mod:`repro.isa.superblock`), deoptimising to per-instruction
-  stepping only while a fault window is open.
-* ``"replay"`` — fresh CPU per trial on the decode-cached dispatcher
-  (isolates the scheduler when debugging a differential failure).
+* ``"superblock"`` (default) — the production engine: one golden run per
+  workload (memoized on the program), trials forked from mid-run
+  checkpoints via :class:`~repro.faults.scheduler.TrialScheduler` onto
+  the tiered trace dispatcher (:mod:`repro.isa.superblock`), which
+  steps cold code and only the open fault window, and chains compiled
+  traces through hot code.
 * ``"reference"`` — fresh CPU per trial on the original ``isinstance``
-  interpreter; this is the pre-decode-cache engine and the baseline the
-  campaign benches measure speedups against.
+  interpreter: the differential oracle and the baseline the campaign
+  benches measure speedups against.
 
-All four are result-identical; ``tests/test_engine_equivalence.py``
+Both are result-identical; ``tests/test_engine_equivalence.py``
 enforces it for every device program and scheme.  ``executor`` accepts a
 :class:`~repro.toolchain.executor.CampaignExecutor` to shard trials
 across worker processes.
@@ -44,18 +41,7 @@ from repro.faults.models import (
 from repro.faults.scheduler import TrialScheduler
 from repro.isa.cpu import ExecutionResult
 
-ENGINES = ("fork", "superblock", "replay", "reference")
-
-#: engines that fork trials off a TrialScheduler checkpoint ladder
-_FORKING_ENGINES = ("fork", "superblock")
-
-
-def _scheduler_kwargs(engine: str, spec) -> dict:
-    """TrialScheduler kwargs selecting the trial-CPU dispatch engine."""
-    kwargs = {} if spec is None else {"spec": spec}
-    if engine == "superblock":
-        kwargs["dispatch"] = "superblock"
-    return kwargs
+ENGINES = ("superblock", "reference")
 
 
 @dataclass
@@ -117,12 +103,9 @@ def golden_trace(program: CompiledProgram, function: str, args):
 
 
 def _golden(program, function, args, engine: str) -> ExecutionResult:
-    if engine in _FORKING_ENGINES:
-        return TrialScheduler.for_program(
-            program, function, list(args), **_scheduler_kwargs(engine, None)
-        ).golden
-    dispatch = "reference" if engine == "reference" else "cached"
-    return program.run(function, args, dispatch=dispatch)
+    if engine == "reference":
+        return program.run(function, args, dispatch="reference")
+    return TrialScheduler.for_program(program, function, list(args)).golden
 
 
 def fire_index_of(model, trace) -> int:
@@ -141,7 +124,7 @@ def run_attack(
     fault_models,
     attack_name: str = "attack",
     max_cycles: int = 2_000_000,
-    engine: str = "fork",
+    engine: str = "superblock",
     executor=None,
     record_trials: bool = False,
     spec=None,
@@ -152,9 +135,9 @@ def run_attack(
     with one ``[fire_index, outcome, exit_code]`` row per trial — the raw
     material of :mod:`repro.analysis` vulnerability maps.  The rows are
     engine-independent (fire indices resolve against the golden trace),
-    but on the replay/reference engines recording instantiates the
-    workload's :class:`~repro.faults.scheduler.TrialScheduler` for its
-    trace, so leave it off when isolating those engines.
+    but on the reference engine recording instantiates the workload's
+    :class:`~repro.faults.scheduler.TrialScheduler` for its trace, so
+    leave it off when isolating that engine.
 
     ``spec`` (a :class:`repro.spec.SpecConfig`) runs the golden execution
     and every trial on speculative CPUs; classification then compares the
@@ -162,12 +145,12 @@ def run_attack(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    spec_kwargs = _scheduler_kwargs(engine, spec)
+    spec_kwargs = {} if spec is None else {"spec": spec}
     if executor is not None:
-        if engine not in _FORKING_ENGINES:
+        if engine == "reference":
             raise ValueError(
-                f"executor trials run on the forking engines "
-                f"{_FORKING_ENGINES}; drop executor to use engine={engine!r}"
+                "executor trials run on the production engine; drop "
+                "executor to use engine='reference'"
             )
         return executor.run_attack(
             program,
@@ -178,30 +161,12 @@ def run_attack(
             max_cycles=max_cycles,
             record_trials=record_trials,
             spec=spec,
-            engine=engine,
         )
     result = AttackResult(attack_name)
     if record_trials:
         result.records = []
-    if engine in _FORKING_ENGINES:
-        scheduler = TrialScheduler.for_program(
-            program, function, list(args), **spec_kwargs
-        )
-        golden = scheduler.golden
-        trace = scheduler.trace
-        cycles_before = scheduler.stats.simulated_cycles
-        for model in fault_models:
-            faulted = scheduler.run_trial(model, max_cycles)
-            outcome = classify(golden, faulted)
-            result.record(outcome, faulted.exit_code)
-            if record_trials:
-                result.record_trial(
-                    fire_index_of(model, trace), outcome, faulted.exit_code
-                )
-        result.simulated_cycles = scheduler.stats.simulated_cycles - cycles_before
-    else:
-        dispatch = "reference" if engine == "reference" else "cached"
-        golden = program.run(function, args, dispatch=dispatch, spec=spec)
+    if engine == "reference":
+        golden = program.run(function, args, dispatch="reference", spec=spec)
         trace = (
             TrialScheduler.for_program(
                 program, function, list(args), **spec_kwargs
@@ -211,8 +176,8 @@ def run_attack(
         )
         for model in fault_models:
             cpu = program.prepare_cpu(
-                function, args, pre_hooks=[model.hook()], dispatch=dispatch,
-                spec=spec,
+                function, args, pre_hooks=[model.hook()],
+                dispatch="reference", spec=spec,
             )
             faulted = cpu.run(max_cycles)
             outcome = classify(golden, faulted)
@@ -222,6 +187,22 @@ def run_attack(
                     fire_index_of(model, trace), outcome, faulted.exit_code
                 )
             result.simulated_cycles += faulted.cycles
+        return result
+    scheduler = TrialScheduler.for_program(
+        program, function, list(args), **spec_kwargs
+    )
+    golden = scheduler.golden
+    trace = scheduler.trace
+    cycles_before = scheduler.stats.simulated_cycles
+    for model in fault_models:
+        faulted = scheduler.run_trial(model, max_cycles)
+        outcome = classify(golden, faulted)
+        result.record(outcome, faulted.exit_code)
+        if record_trials:
+            result.record_trial(
+                fire_index_of(model, trace), outcome, faulted.exit_code
+            )
+    result.simulated_cycles = scheduler.stats.simulated_cycles - cycles_before
     return result
 
 
@@ -234,7 +215,7 @@ def skip_sweep(
     args,
     first=1,
     last=None,
-    engine="fork",
+    engine="superblock",
     executor=None,
     record_trials=False,
 ) -> AttackResult:
@@ -264,7 +245,7 @@ def branch_flip_sweep(
     function,
     args,
     max_branches=64,
-    engine="fork",
+    engine="superblock",
     executor=None,
     record_trials=False,
 ) -> AttackResult:
@@ -286,7 +267,8 @@ branch_flip_sweep.attack_label = "branch-flip"
 
 
 def repeated_branch_flip(
-    program, function, args, engine="fork", executor=None, record_trials=False
+    program, function, args, engine="superblock", executor=None,
+    record_trials=False,
 ) -> AttackResult:
     """Invert every conditional branch in the target function's code range."""
     addr_range = program.image.function_ranges[function]
@@ -360,7 +342,7 @@ def operand_corruption_sweep(
     bits=(0, 7, 16, 31),
     occurrence=3,
     window=None,
-    engine="fork",
+    engine="superblock",
     executor=None,
     record_trials=False,
 ) -> AttackResult:

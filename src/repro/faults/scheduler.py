@@ -46,6 +46,7 @@ MAX_CHECKPOINTS = 96
 
 
 _EMPTY_INDICES = array("I")
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 @dataclass
@@ -117,9 +118,10 @@ class SchedulerStats:
     simulated_cycles: int = 0
     checkpoints: int = 0
     interval: int = 0
-    #: compiled traces entered by superblock trials (0 for other engines)
+    #: compiled traces entered by trials (0 while the image is cold)
     superblock_blocks: int = 0
-    #: instructions the superblock engine single-stepped (deoptimised)
+    #: instructions trials single-stepped on a warm image (fault windows,
+    #: cold heads, timeout tails)
     superblock_deopt_steps: int = 0
 
 
@@ -137,7 +139,6 @@ class TrialScheduler:
         reuse_cpu: bool = True,
         record_addrs: bool = True,
         spec=None,
-        dispatch: str = "cached",
     ):
         """``record_addrs=False`` skips the per-retirement address capture
         for non-``bcc`` mnemonics (roughly half the trace memory).
@@ -151,27 +152,26 @@ class TrialScheduler:
         and transient-trace state, so a forked trial reconstructs the
         exact observable digest a full replay would produce.
 
-        ``dispatch`` selects the execution engine for *trial* CPUs
-        (``"cached"`` or ``"superblock"``).  The golden capture always
-        runs the cached engine: it needs ``stop_at_instruction`` and a
-        recording retire hook, under which the superblock engine
-        deoptimises to the identical step loop anyway."""
+        Trial CPUs run the production superblock engine; the golden
+        capture needs ``stop_at_instruction`` and a recording retire
+        hook, under which that engine always steps the decode cache."""
         self.program = program
         self.function = function
         self.args = list(args)
         self.spec = spec
-        self.dispatch = dispatch
         self.stats = SchedulerStats()
         #: Reuse one CPU across trials (dirty pages scrubbed back to the
         #: pristine image between trials) instead of re-allocating the
-        #: 2 MiB address space per trial.  Safe for hooks that go through
+        #: 2 MiB address space per trial.  Only the image's non-zero
+        #: pages are kept pristine; every other page scrubs to zeros.
+        #: Safe for hooks that go through
         #: CPU.store()/the bundled fault models; a third-party hook that
         #: pokes ``cpu.memory`` directly must either mark the page in
         #: ``cpu._dirty_pages`` (as MemoryBitFlip does) or run with
         #: ``reuse_cpu=False``.
         self.reuse_cpu = reuse_cpu
         self._trial_cpu = None
-        self._pristine: bytes | None = None
+        self._pristine: dict[int, bytes] = {}
         #: Final ``cpu.dyn_index`` of the most recent trial — where its
         #: execution actually ended, including skipped instructions (which
         #: ``ExecutionResult.instructions`` excludes).  The multi-fault
@@ -321,8 +321,7 @@ class TrialScheduler:
         """A CPU in exactly the checkpoint's state, ready for one trial."""
         if not self.reuse_cpu:
             cpu = self.program.prepare_cpu(
-                self.function, self.args, spec=self.spec,
-                dispatch=self.dispatch,
+                self.function, self.args, spec=self.spec
             )
             if snap.retired:
                 cpu.restore(snap)
@@ -330,10 +329,13 @@ class TrialScheduler:
         cpu = self._trial_cpu
         if cpu is None:
             cpu = self.program.prepare_cpu(
-                self.function, self.args, track_pages=True, spec=self.spec,
-                dispatch=self.dispatch,
+                self.function, self.args, track_pages=True, spec=self.spec
             )
-            self._pristine = bytes(cpu.memory)
+            memory = cpu.memory
+            for offset in range(0, len(memory), PAGE_SIZE):
+                page = memory[offset : offset + PAGE_SIZE]
+                if page != _ZERO_PAGE:
+                    self._pristine[offset >> PAGE_BITS] = bytes(page)
             self._trial_cpu = cpu
         else:
             # Scrub the previous trial: every page it dirtied reverts to
@@ -343,9 +345,9 @@ class TrialScheduler:
             pristine = self._pristine
             for page in cpu._dirty_pages:
                 offset = page << PAGE_BITS
-                memory[offset : offset + PAGE_SIZE] = pristine[
-                    offset : offset + PAGE_SIZE
-                ]
+                memory[offset : offset + PAGE_SIZE] = pristine.get(
+                    page, _ZERO_PAGE
+                )
             cpu._dirty_pages.clear()
             cpu.pre_hooks.clear()
         cpu.restore(snap)

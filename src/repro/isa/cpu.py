@@ -14,19 +14,19 @@ halts with status EXIT and the value of r0.
 
 Dispatch
 --------
-Three execution paths share identical semantics:
+Two execution paths share identical semantics:
 
-* ``dispatch="cached"`` (default): instructions are pre-decoded once per
-  image into bound handler closures (:mod:`repro.isa.dispatch`); a step is
-  a table fetch + call.  Unhooked runs additionally take a fast loop that
-  skips hook iteration entirely.
-* ``dispatch="superblock"``: basic blocks are exec-compiled into single
-  Python functions with registers/flags pinned to locals and a chaining
-  loop between them (:mod:`repro.isa.superblock`); fault-model hooks
-  deoptimise to per-instruction stepping around their fire window.
+* ``dispatch="superblock"`` (default): the tiered engine of
+  :mod:`repro.isa.superblock`.  Cold code steps through the image's
+  decode cache — instructions pre-decoded once into bound handler
+  closures (:mod:`repro.isa.dispatch`), a step being a table fetch +
+  call, with a hook-free fast loop for unhooked runs.  Hot traces are
+  exec-compiled into Python functions with registers/flags pinned to
+  locals; fault-model hooks deoptimise to per-instruction stepping
+  around their fire window.
 * ``dispatch="reference"``: the original ``isinstance``-chain interpreter
   (:meth:`CPU.execute`), kept as the differential oracle — the
-  golden-equivalence suite proves all paths produce identical traces.
+  golden-equivalence suite proves both paths produce identical traces.
 
 Checkpointing
 -------------
@@ -155,11 +155,11 @@ class CPU:
         image: CodeImage,
         cycle_model: Optional[CycleModel] = None,
         memory_size: int = MEM_SIZE,
-        dispatch: str = "cached",
+        dispatch: str = "superblock",
         track_pages: bool = False,
         spec: Optional["SpecConfig"] = None,
     ):
-        if dispatch not in ("cached", "superblock", "reference"):
+        if dispatch not in ("superblock", "reference"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.image = image
         from repro.target import get_target  # late: avoids import cycle
@@ -200,9 +200,11 @@ class CPU:
         self.branch_invert = False
         self.dispatch = dispatch
         #: superblock-engine work counters (repro.obs feeds on these):
-        #: compiled blocks chained / deopt single-steps taken.
+        #: compiled blocks chained / single-steps taken on a warm image.
         self._sb_blocks = 0
         self._sb_steps = 0
+        #: this CPU's superblock TraceTable, bound once its image is warm.
+        self._sb_table = None
         #: addr -> (handler, instr, width); shared per image.
         self._decode = image.decode_cache()
         self._dirty_pages: Optional[set[int]] = set() if track_pages else None
@@ -268,16 +270,10 @@ class CPU:
                 ):
                     break
                 self.step()
-        elif self.dispatch == "superblock":
+        else:
             from repro.isa.superblock import run_superblock
 
             run_superblock(self, max_cycles, stop_at_instruction)
-        elif (
-            self.pre_hooks or self.retire_hooks or stop_at_instruction is not None
-        ):
-            self._run_hooked(max_cycles, stop_at_instruction)
-        else:
-            self._run_fast(max_cycles)
         return ExecutionResult(
             status=self.status,
             exit_code=self.exit_code,

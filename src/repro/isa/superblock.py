@@ -1,22 +1,28 @@
-"""Superblock-threaded execution: exec-compiled trace dispatch.
+"""Superblock-threaded execution: the tiered production engine.
 
-The third engine tier.  ``dispatch="cached"`` (PR 2) replaced the
-isinstance-chain interpreter with one pre-bound handler call per
-instruction; this module removes the per-instruction loop itself.  At
-image load the decode cache is partitioned into *traces*: one per entry
-point (label, branch target, post-call fall-through), each following the
-fall-through path through conditional branches — a ``Bcc`` becomes a
-*side exit* rather than a trace boundary — and ending at ``B``/``Bl``/
-``BxLr``/``Udf``, anything touching r15, or a length cap.  Every trace
-is compiled — via ``exec`` of generated Python source — into one
-function
+Every non-reference CPU runs here.  Code starts *cold*: it steps on the
+decode-cache loops (``CPU._run_fast``/``_run_hooked``), which cost
+nothing to set up.  An image is partitioned into *traces* only once it
+has stepped :data:`WARMUP_STEPS` instructions, and a trace is compiled
+only once the instructions stepped through its head pass
+:data:`HOT_STEPS` — so a small one-off program never pays for code
+generation, while a loop-heavy campaign compiles exactly the traces it
+spends its time in.
+
+A trace starts at an entry point (label, branch target, post-call
+fall-through) and follows the fall-through path through conditional
+branches — a ``Bcc`` becomes a *side exit* rather than a trace boundary
+— ending at ``B``/``Bl``/``BxLr``/``Udf``, anything touching r15, or a
+length cap.  A hot trace is compiled — via ``exec`` of generated Python
+source, memoised process-wide by that source — into one function
 
     def _t<addr>(cpu, regs, max_cycles) -> next_pc
 
 whose body inlines the semantics of each instruction with
 
 * CPU registers and NZCV flags pinned to local variables, loaded once in
-  a prologue and written back only at trace exits,
+  a prologue and written back by one epilogue that every exit reaches
+  with ``break`` (the body runs inside ``while True:``),
 * cycle charges folded into per-exit constants (dynamic ``div`` costs
   are the one runtime add),
 * the CFI monitor's state advance folded per *segment*: ``k`` retired
@@ -29,7 +35,7 @@ whose body inlines the semantics of each instruction with
   shared ``cpu.load``/``cpu.store`` helpers followed by the same event
   drain + halt check the per-instruction loops perform,
 * **loop closure**: a branch back to the trace's own entry point becomes
-  a ``continue`` in a ``while True:`` wrapper, so a counted loop runs
+  a ``continue`` of the ``while True:`` wrapper, so a counted loop runs
   entirely inside one compiled function with registers in locals.  Back
   edges switch the trace to dynamic accounting (a ``cycles`` local and a
   ``_n`` retired counter) and re-check the cycle budget each iteration
@@ -41,10 +47,12 @@ The chaining loop (:func:`run_superblock`) then threads traces:
 only when its worst-case cycle bound cannot cross ``max_cycles`` (else
 it is single-stepped, preserving exact timeout behaviour).
 
-Deoptimisation contract
------------------------
-Fault-model hooks cannot fire inside a compiled trace, so the loop
-deoptimises around them:
+Tier and deoptimisation contract
+--------------------------------
+Tiering never changes a result: a cold head, a hot trace and the
+reference interpreter retire the same instructions with the same
+cycles.  Fault-model hooks cannot fire inside a compiled trace, so the
+loop deoptimises around them:
 
 * a pre-hook carrying a ``fire_window = (lo, hi)`` attribute (1-based
   ``dyn_index`` bounds of every instruction it can observe or mutate)
@@ -58,7 +66,7 @@ deoptimises around them:
   for the whole run,
 * ``stop_at_instruction`` (checkpoint capture) and non-monitor retire
   hooks (golden-trace recording) likewise fall back — the scheduler's
-  golden run is engine-independent by construction.
+  golden run never depends on which traces are hot.
 
 With speculation enabled (``SpecEngine`` window > 0), ``Bcc`` must
 retire through the (wrapped) decode cache, so the speculative variant
@@ -71,7 +79,8 @@ construction, mirroring the W=0 decode-cache guarantee.
 
 from __future__ import annotations
 
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from typing import Optional
 
 from repro.cfi.gpsa import entry_state
@@ -82,6 +91,29 @@ from repro.isa.cycles import CycleModel
 from repro.isa.dispatch import static_cost
 from repro.isa.mmio import MMIO
 from repro.isa.registers import SP, PC
+
+#: Tier-up policy.  Fixed constants, not options: they trade code
+#: generation against stepping, which the code can measure and a user
+#: cannot usefully tune.  Measured with CPython 3.11 on a 2-vCPU x86-64
+#: host, memcmp under the AN-code scheme (CFI monitor attached): a
+#: decode-cache step costs ~1.7-2.7 us, an instruction inside a compiled
+#: trace ~0.4 us, and generating plus compiling a trace ~0.6 ms + 0.1 ms
+#: per static instruction (``builtins.compile`` is most of it).  A trace
+#: of ``L`` instructions thus repays its compile after ~350 + 60 L
+#: instructions stepped through it, 770-1,200 for the common L = 7..14.
+#: HOT_STEPS counts head visits times ``L`` and promotes at 500, about
+#: half that break-even, because code that ran hot keeps running hot (a
+#: campaign repeats its trials hundreds of times) and because the same
+#: code in another image is a memo hit, not a compile.  Partitioning
+#: costs ~10 us per image instruction.  The largest decision a served
+#: PIN/privilege job carries (three protected comparisons, AN-coded)
+#: steps under 4,000 instructions for its golden run plus a Table III
+#: campaign, below break-even for any of its traces, so WARMUP_STEPS
+#: waits for five times that before partitioning an image at all.
+WARMUP_STEPS = 20_000
+HOT_STEPS = 500
+#: bound on the process-wide compiled-trace memo (entries, not bytes).
+CODE_CACHE_SIZE = 4096
 
 #: cap on compiled trace length (static instructions); longer paths are
 #: split into chained traces (keeps worst-case cycle bounds, and
@@ -461,22 +493,20 @@ def _cycle_key(cpu, push_counts) -> tuple:
 # Code generation
 # ---------------------------------------------------------------------------
 class _Emitter:
-    """Accumulates the generated source for one trace function.
+    """Accumulates the body of one trace function.
 
-    Looping traces are emitted twice: pass A (``preset=None``) collects
-    the full register/flag footprint, pass B presets it so *every* exit
-    writes back everything any iteration may have touched (a side exit
-    taken on iteration 2 must publish registers written after that exit
-    on iteration 1).
+    The body runs inside ``while True:``; every exit sets the next PC and
+    the cycles and instructions it adds, then ``break``s to one shared
+    epilogue that publishes every register and flag the trace may write
+    (see :func:`_trace_source`).
     """
 
-    def __init__(self, monitor: bool, cycles_local: bool, loop: bool = False,
-                 indent: int = 1, preset=None):
+    def __init__(self, monitor: bool, cycles_local: bool, loop: bool = False):
         self.monitor = monitor
         self.loop = loop
         self.cycles_local = cycles_local or loop
         self.lines: list[str] = []
-        self.indent = indent
+        self.indent = 2
         self.reads: set[int] = set()  # registers loaded in the prologue
         self.local: set[int] = set()  # registers with a live local
         self.written: set[int] = set()
@@ -489,14 +519,6 @@ class _Emitter:
         self.seg_rot = 0  # monitor segment length since last flush
         self.seg_const = 0  # folded signature constant of the segment
         self.worst = 0  # worst-case cycle bound of one pass
-        if preset is not None:
-            touched, written, ftouched, fwritten = preset
-            self.reads = set(touched)
-            self.local = set(touched)
-            self.written = set(written)
-            self.freads = set(ftouched)
-            self.flocal = set(ftouched)
-            self.fwritten = set(fwritten)
 
     def emit(self, line: str, extra: int = 0) -> None:
         self.lines.append("    " * (self.indent + extra) + line)
@@ -553,72 +575,79 @@ class _Emitter:
         self.seg_const = 0
 
     # -- exits -----------------------------------------------------------
-    def emit_epilogue(self, extra_cycles: int = 0, extra: int = 0,
-                      accumulated: bool = False) -> None:
-        """Write locals back to the CPU (used at every trace exit).
+    def emit_exit(self, pc: str, extra_cycles: int = 0, extra: int = 0,
+                  accumulated: bool = False) -> None:
+        """Leave the trace for ``pc`` (a source expression) through the
+        shared epilogue, adding this exit's static cycles and retired
+        instructions.  The monitor segment is flushed non-destructively:
+        a side exit leaves the main path's segment pending.
 
         ``accumulated``: the static cycle/count accumulators were already
         folded into the ``cycles``/``_n`` locals (back-edge budget exits).
         """
-        for reg in sorted(self.written):
-            self.emit(f"regs[{reg}] = r{reg}", extra)
-        for flag in ("n", "z", "c", "v"):
-            if flag in self.fwritten:
-                self.emit(f"cpu.{flag} = {flag}", extra)
-        if accumulated:
-            self.emit("cpu.cycles = cycles", extra)
-            self.emit("cpu.retired += _n", extra)
-            self.emit("cpu.dyn_index += _n", extra)
-        else:
-            total = self.k + extra_cycles
-            if self.cycles_local:
-                if total:
-                    self.emit(f"cpu.cycles = cycles + {total}", extra)
-                else:
-                    self.emit("cpu.cycles = cycles", extra)
-            elif total:
-                self.emit(f"cpu.cycles += {total}", extra)
-            if self.loop:
-                n = f"_n + {self.count}" if self.count else "_n"
-                self.emit(f"cpu.retired += {n}", extra)
-                self.emit(f"cpu.dyn_index += {n}", extra)
-            elif self.count:
-                self.emit(f"cpu.retired += {self.count}", extra)
-                self.emit(f"cpu.dyn_index += {self.count}", extra)
         if self.monitor:
-            for line in self._flush_src():  # non-destructive: side exits
+            for line in self._flush_src():
                 self.emit(line, extra)
-            self.emit("_mon.state = ms", extra)
+        cycles, count = (0, 0) if accumulated else (
+            self.k + extra_cycles, self.count
+        )
+        self.emit(f"_x, _k, _c = {pc}, {cycles}, {count}", extra)
+        self.emit("break", extra)
 
     def emit_halt_check(self, fall: int, extra: int = 0) -> None:
         """Exit the trace where a per-instruction loop would observe a
         halting status (memory error, MMIO exit/detect, CFI violation)."""
         self.emit("if cpu.status is not _RUNNING:", extra)
-        self.emit_epilogue(extra=extra + 1)
-        self.emit(f"return {fall:#x}", extra + 1)
+        self.emit_exit(f"{fall:#x}", extra=extra + 1)
 
 
 def _emit_event_drain(e: _Emitter, extra: int = 0) -> None:
     """Drain CFI events after a slow-path store: the monitor applies
     MERGE/CHECK against the (already segment-flushed) ``ms``; without a
     monitor the list is just cleared, mirroring ``_run_fast``."""
-    e.needs.add("ev")
     if e.monitor:
-        e.emit("if _ev:", extra)
-        e.emit("for _e in _ev:", extra + 1)
-        e.emit("_ea = _e.addr", extra + 2)
-        e.emit(f"if _ea == {int(MMIO.CFI_MERGE):#x}:", extra + 2)
-        e.emit("ms = (ms ^ _e.value) & 0xFFFFFFFF", extra + 3)
-        e.emit(f"elif _ea == {int(MMIO.CFI_CHECK):#x}:", extra + 2)
-        e.emit("if _e.value != ms:", extra + 3)
-        e.emit("_mon.violations += 1", extra + 4)
-        e.emit("cpu.cfi_violation()", extra + 4)
-        e.emit("else:", extra + 3)
-        e.emit("_mon.checks_passed += 1", extra + 4)
-        e.emit("del _ev[:]", extra + 1)
+        e.emit("ms = _drain(cpu, ms)", extra)
     else:
+        e.needs.add("ev")
         e.emit("if _ev:", extra)
         e.emit("del _ev[:]", extra + 1)
+
+
+def _drain(cpu, ms: int) -> int:
+    """The monitor state ``ms`` after the CFI events a slow-path store
+    raised (MERGE folds in, CHECK compares), which it consumes."""
+    events = cpu._cfi_events
+    if events:
+        monitor = cpu.monitor
+        for event in events:
+            if event.addr == MMIO.CFI_MERGE:
+                ms = (ms ^ event.value) & WORD
+            elif event.addr == MMIO.CFI_CHECK:
+                if event.value != ms:
+                    monitor.violations += 1
+                    cpu.cfi_violation()
+                else:
+                    monitor.checks_passed += 1
+        del events[:]
+    return ms
+
+
+def _cfi_store(cpu, addr: int, value: int, size: int, ms: int) -> int:
+    """A store outside RAM under an attached monitor; returns the new
+    monitor state.  CFI merge/check stores apply to ``ms`` directly
+    instead of bouncing a CfiEvent through ``cpu.store``."""
+    value &= (1 << (8 * size)) - 1
+    if addr == MMIO.CFI_MERGE:
+        return (ms ^ value) & WORD
+    if addr == MMIO.CFI_CHECK:
+        if value != ms:
+            cpu.monitor.violations += 1
+            cpu.cfi_violation()
+        else:
+            cpu.monitor.checks_passed += 1
+        return ms
+    cpu.store(addr, value, size)
+    return _drain(cpu, ms)
 
 
 def _emit_adc(e: _Emitter, dest: str, a_expr: str, b_expr: str, carry: str) -> None:
@@ -753,7 +782,6 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
     out-of-range stores take ``cpu.store`` and then drain CFI events and
     check for halts, exactly like the per-instruction loops."""
     e.needs.add("mem")
-    e.needs.add("store")
     e.needs.add("dirty")
     base = e.r(instr.rn)
     val = e.r(instr.rt)
@@ -784,25 +812,19 @@ def _emit_store(e: _Emitter, cpu, instr, fall: int) -> None:
         e.emit(f"_dirty.add((_ad + {size - 1}) >> {PAGE_BITS})", 1)
     e.emit("else:")
     if e.monitor:
-        # CFI merge/check stores are the overwhelmingly common MMIO
-        # stores under an attached monitor (one or more per hardened
-        # block): apply them to ``ms`` directly instead of bouncing a
-        # CfiEvent through cpu.store and the drain.
+        # CFI merge and passing check stores — the common MMIO stores,
+        # one or more per hardened block — stay inline; the rest call
+        # the shared slow path.
         vexpr = val if size == 4 else f"({val} & {(1 << (8 * size)) - 1:#x})"
         e.emit(f"if _ad == {int(MMIO.CFI_MERGE):#x}:", 1)
         e.emit(f"ms = (ms ^ {vexpr}) & 0xFFFFFFFF", 2)
-        e.emit(f"elif _ad == {int(MMIO.CFI_CHECK):#x}:", 1)
-        e.emit(f"if {vexpr} != ms:", 2)
-        e.emit("_mon.violations += 1", 3)
-        e.emit("cpu.cfi_violation()", 3)
-        e.emit_halt_check(fall, extra=3)
-        e.emit("else:", 2)
-        e.emit("_mon.checks_passed += 1", 3)
+        e.emit(f"elif _ad == {int(MMIO.CFI_CHECK):#x} and {vexpr} == ms:", 1)
+        e.emit("_mon.checks_passed += 1", 2)
         e.emit("else:", 1)
-        e.emit(f"_store(_ad, {val}, {size})", 2)
-        _emit_event_drain(e, 2)
+        e.emit(f"ms = _cfi_store(cpu, _ad, {val}, {size}, ms)", 2)
         e.emit_halt_check(fall, extra=2)
     else:
+        e.needs.add("store")
         e.emit(f"_store(_ad, {val}, {size})", 1)
         _emit_event_drain(e, 1)
         e.emit_halt_check(fall, extra=1)
@@ -1056,27 +1078,25 @@ def _emit_body_instr(e: _Emitter, cpu, addr: int, instr, width: int) -> None:
     e.count += 1
 
 
-def _emit_back_edge(e: _Emitter, taken_cost: int, start: int, worst_pass: int,
+def _emit_back_edge(e: _Emitter, taken_cost: int, start: int,
                     extra: int = 0) -> None:
     """A branch back to the trace entry: fold the static accumulators
     into the dynamic ``cycles``/``_n`` locals and ``continue`` when the
-    budget provably admits one more worst-case pass; otherwise exit with
-    the loop head as the next PC (the outer loop single-steps the near-
-    timeout tail exactly)."""
+    budget provably admits one more worst-case pass (``_w``); otherwise
+    exit with the loop head as the next PC (the outer loop single-steps
+    the near-timeout tail exactly)."""
     total = e.k + taken_cost
     if total:
         e.emit(f"cycles += {total}", extra)
     if e.count:
         e.emit(f"_n += {e.count}", extra)
-    e.emit(f"if cycles + {worst_pass} < max_cycles:", extra)
+    e.emit("if cycles + _w < max_cycles:", extra)
     e.emit("continue", extra + 1)
-    e.emit_epilogue(extra=extra, accumulated=True)
-    e.emit(f"return {start:#x}", extra)
+    e.emit_exit(f"{start:#x}", extra=extra, accumulated=True)
 
 
 def _emit_side_exit(e: _Emitter, cpu, addr: int, instr, width: int,
-                    start: int, worst_pass: int,
-                    follow_taken: bool = False) -> None:
+                    start: int, follow_taken: bool = False) -> None:
     """A ``Bcc`` inside a trace.
 
     Normally the taken arm exits (or closes the loop) and fall-through
@@ -1098,8 +1118,7 @@ def _emit_side_exit(e: _Emitter, cpu, addr: int, instr, width: int,
         else:
             cond = _fused_cond_expr(e, instr, cc)
         e.emit(f"if {cond}:")
-        e.emit_epilogue(extra_cycles=not_taken, extra=1)
-        e.emit(f"return {addr + width:#x}", 1)
+        e.emit_exit(f"{addr + width:#x}", extra_cycles=not_taken, extra=1)
         e.k += taken
         return
     if type(instr) is ins.Bcc:
@@ -1110,15 +1129,14 @@ def _emit_side_exit(e: _Emitter, cpu, addr: int, instr, width: int,
         cond = _fused_cond_expr(e, instr, instr.cond)
     e.emit(f"if {cond}:")
     if e.loop and instr.target == start:
-        _emit_back_edge(e, taken, start, worst_pass, extra=1)
+        _emit_back_edge(e, taken, start, extra=1)
     else:
-        e.emit_epilogue(extra_cycles=taken, extra=1)
-        e.emit(f"return {instr.target:#x}", 1)
+        e.emit_exit(f"{instr.target:#x}", extra_cycles=taken, extra=1)
     e.k += not_taken
 
 
 def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
-                     start: int = -1, worst_pass: int = 0) -> None:
+                     start: int = -1) -> None:
     """Inline a trace-ending control transfer (inline variants only)."""
     cls = type(instr)
     fall = addr + width
@@ -1130,11 +1148,10 @@ def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
         e.worst += cost
         e.emit_flush()
         if e.loop and instr.target == start:
-            _emit_back_edge(e, cost, start, worst_pass)
+            _emit_back_edge(e, cost, start)
         else:
             e.k += cost
-            e.emit_epilogue()
-            e.emit(f"return {instr.target:#x}")
+            e.emit_exit(f"{instr.target:#x}")
     elif cls is ins.Bl:
         # LR comes from the static address: hooks never run inside a
         # trace, so regs[PC] == addr here by construction (the per-
@@ -1151,8 +1168,7 @@ def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
             callee = image.function_of(instr.target)
             if callee is not None:
                 e.emit(f"ms = {entry_state(callee):#x}")
-        e.emit_epilogue()
-        e.emit(f"return {instr.target:#x}")
+        e.emit_exit(f"{instr.target:#x}")
     elif cls is ins.BxLr:
         e.emit(f"_t = {e.r(14)}")
         exit_code = e.r(0)
@@ -1168,10 +1184,8 @@ def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
         e.emit(f"if _t == {MAGIC_RETURN:#x}:")
         e.emit("cpu.status = _EXIT", 1)
         e.emit(f"cpu.exit_code = {exit_code}", 1)
-        e.emit_epilogue(extra=1)
-        e.emit(f"return {fall:#x}", 1)
-        e.emit_epilogue()
-        e.emit(f"return _t & {MAGIC_RETURN:#x}")
+        e.emit_exit(f"{fall:#x}", extra=1)
+        e.emit_exit(f"_t & {MAGIC_RETURN:#x}")
     elif cls is ins.Udf:
         e.emit("cpu.status = _FAULT")
         e.emit(f"cpu.detect_code = {instr.code}")
@@ -1180,160 +1194,237 @@ def _emit_terminator(e: _Emitter, cpu, image, addr: int, instr, width: int,
         e.worst += 1
         e.count += 1
         e.emit_flush()
-        e.emit_epilogue()
-        e.emit(f"return {fall:#x}")
+        e.emit_exit(f"{fall:#x}")
     else:  # pragma: no cover
         raise NotImplementedError(f"cannot inline terminator {instr!r}")
 
 
 def _emit_trace(block: _Block, cpu, image, monitor: bool, inline: bool,
-                loop: bool, worst_pass: int, preset, div_bound: int) -> _Emitter:
+                loop: bool, div_bound: int) -> _Emitter:
     """Emit one trace/block body into a fresh emitter."""
     has_div = any(type(i) in (ins.Udiv, ins.Sdiv) for _, i, _ in block.body)
-    e = _Emitter(
-        monitor,
-        cycles_local=has_div,
-        loop=loop,
-        indent=2 if loop else 1,
-        preset=preset,
-    )
+    e = _Emitter(monitor, cycles_local=has_div, loop=loop)
     e.div_bound = div_bound
     e.div_inline = type(cpu.cycles_model).div is CycleModel.div
     start = block.addr
     for addr, instr, width in block.body:
         if type(instr) in ins.BCC_CLASSES:
-            _emit_side_exit(e, cpu, addr, instr, width, start, worst_pass,
+            _emit_side_exit(e, cpu, addr, instr, width, start,
                             follow_taken=addr in block.taken)
         else:
             _emit_body_instr(e, cpu, addr, instr, width)
     term = block.term if inline else None
     if term is not None:
-        _emit_terminator(e, cpu, image, *term, start=start,
-                         worst_pass=worst_pass)
+        _emit_terminator(e, cpu, image, *term, start=start)
     elif block.fall_loop:
         # The walk wrapped around into its own entry point: the trace
         # falls through into the next iteration.
         e.emit_flush()
-        _emit_back_edge(e, 0, start, worst_pass)
+        _emit_back_edge(e, 0, start)
     else:
         e.emit_flush()
-        e.emit_epilogue()
-        e.emit(f"return {block.exit_addr:#x}")
+        e.emit_exit(f"{block.exit_addr:#x}")
     return e
 
 
-def _compile_variant(image, partition: _Partition, cpu, monitor: bool,
-                     inline: bool):
-    """Generate + exec one variant's trace functions.
+_NAMESPACE = {
+    "_signed": _signed,
+    "_RUNNING": Status.RUNNING,
+    "_EXIT": Status.EXIT,
+    "_FAULT": Status.FAULT_DETECTED,
+    "_drain": _drain,
+    "_cfi_store": _cfi_store,
+    "_ND": set(),  # dirty-page sink for CPUs that do not track pages
+    # default-model div cycles by quotient bit-width (see CycleModel.div:
+    # 2-cycle setup, ~3 result bits per cycle, cap 12)
+    "_DIVC": tuple(min(12, 2 + (q + 2) // 3) for q in range(33)),
+}
 
-    ``monitor``: fold the CFI monitor state advance into the traces.
+#: generated source -> trace function, process-wide and LRU-bounded.  The
+#: source bakes in everything the function depends on (instructions,
+#: addresses, cycle costs, monitor folding), so images that share code —
+#: the same program compiled with different data initializers — share
+#: compiled traces.
+_CODE: "OrderedDict[str, object]" = OrderedDict()
+_CODE_LOCK = threading.Lock()
+
+
+def _trace_source(block: _Block, cpu, image, monitor: bool, inline: bool,
+                  div_bound: int):
+    """Generate one trace function's source: ``(source, name,
+    guard_count, worst)``.
+
+    ``monitor``: fold the CFI monitor state advance into the trace.
     ``inline``: inline side exits and terminators (disabled when a
     SpecEngine with a non-zero window owns Bcc retirement).
     """
-    div_bound = _div_bound(cpu.cycles_model)
-    parts: list[str] = []
-    meta: list[tuple[int, str, int, int]] = []
-    for block in partition.blocks:
-        term = block.term if inline else None
-        if not block.body and term is None:
-            continue
-        loop = block.loop and inline
-        if loop:
-            # Pass A: discover the full register/flag footprint and the
-            # worst-case single-pass cost; pass B presets both so every
-            # exit publishes everything any iteration may have written.
-            probe = _emit_trace(block, cpu, image, monitor, inline,
-                                loop=True, worst_pass=0, preset=None,
-                                div_bound=div_bound)
-            worst = max(probe.worst, 1)
-            preset = (
-                probe.reads | probe.written,
-                set(probe.written),
-                probe.freads | probe.fwritten,
-                set(probe.fwritten),
-            )
-            e = _emit_trace(block, cpu, image, monitor, inline, loop=True,
-                            worst_pass=worst, preset=preset,
-                            div_bound=div_bound)
-            guard_count = UNBOUNDED
-        else:
-            e = _emit_trace(block, cpu, image, monitor, inline, loop=False,
-                            worst_pass=0, preset=None, div_bound=div_bound)
-            worst = e.worst
-            guard_count = e.count
-        name = f"_t{block.addr:x}"
-        prologue = [f"def {name}(cpu, regs, max_cycles):"]
-        for reg in sorted(e.reads):
-            prologue.append(f"    r{reg} = regs[{reg}]")
-        for flag in ("n", "z", "c", "v"):
-            if flag in e.freads:
-                prologue.append(f"    {flag} = cpu.{flag}")
-        if e.cycles_local:
-            prologue.append("    cycles = cpu.cycles")
-        if "mem" in e.needs:
-            prologue.append("    _mem = cpu.memory")
-            prologue.append("    _ml = len(_mem)")
-            prologue.append(f"    _fast = _ml if _ml <= {MMIO.BASE:#x} else 0")
-        if "fb" in e.needs:
-            prologue.append("    _fb = int.from_bytes")
-        if "dirty" in e.needs:
-            prologue.append("    _dirty = cpu._dirty_pages")
-            prologue.append("    if _dirty is None:")
-            prologue.append("        _dirty = _ND")
-        if "load" in e.needs:
-            prologue.append("    _load = cpu.load")
-        if "store" in e.needs:
-            prologue.append("    _store = cpu.store")
-        if "div" in e.needs:
-            prologue.append("    _div = cpu.cycles_model.div")
-        if "ev" in e.needs:
-            prologue.append("    _ev = cpu._cfi_events")
-        if monitor:
-            prologue.append("    _mon = cpu.monitor")
-            prologue.append("    ms = _mon.state")
-        if loop:
-            prologue.append("    _n = 0")
-            prologue.append("    while True:")
-        parts.extend(prologue)
-        parts.extend(e.lines)
-        parts.append("")
-        meta.append((block.addr, name, guard_count, worst))
-    namespace = {
-        "_signed": _signed,
-        "_RUNNING": Status.RUNNING,
-        "_EXIT": Status.EXIT,
-        "_FAULT": Status.FAULT_DETECTED,
-        "_ND": set(),  # dirty-page sink for CPUs that do not track pages
-        # default-model div cycles by quotient bit-width (see
-        # CycleModel.div: 2-cycle setup, ~3 result bits per cycle, cap 12)
-        "_DIVC": tuple(min(12, 2 + (q + 2) // 3) for q in range(33)),
-    }
-    exec(compile("\n".join(parts), "<superblock>", "exec"), namespace)
-    return {
-        addr: (namespace[name], count, worst)
-        for addr, name, count, worst in meta
-    }
+    loop = block.loop and inline
+    e = _emit_trace(block, cpu, image, monitor, inline, loop=loop,
+                    div_bound=div_bound)
+    if loop:
+        worst = max(e.worst, 1)
+        guard_count = UNBOUNDED
+    else:
+        worst = e.worst
+        guard_count = e.count
+    name = f"_t{block.addr:x}"
+    lines = [f"def {name}(cpu, regs, max_cycles):"]
+    # Every register and flag the trace writes is loaded too, so the
+    # shared epilogue can publish them all whichever exit was taken.
+    for reg in sorted(e.reads | e.written):
+        lines.append(f"    r{reg} = regs[{reg}]")
+    flags = [f for f in ("n", "z", "c", "v") if f in e.freads | e.fwritten]
+    for flag in flags:
+        lines.append(f"    {flag} = cpu.{flag}")
+    if e.cycles_local:
+        lines.append("    cycles = cpu.cycles")
+    if "mem" in e.needs:
+        lines.append("    _mem = cpu.memory")
+        lines.append("    _ml = len(_mem)")
+        lines.append(f"    _fast = _ml if _ml <= {MMIO.BASE:#x} else 0")
+    if "fb" in e.needs:
+        lines.append("    _fb = int.from_bytes")
+    if "dirty" in e.needs:
+        lines.append("    _dirty = cpu._dirty_pages")
+        lines.append("    if _dirty is None:")
+        lines.append("        _dirty = _ND")
+    if "load" in e.needs:
+        lines.append("    _load = cpu.load")
+    if "store" in e.needs:
+        lines.append("    _store = cpu.store")
+    if "div" in e.needs:
+        lines.append("    _div = cpu.cycles_model.div")
+    if "ev" in e.needs:
+        lines.append("    _ev = cpu._cfi_events")
+    if monitor:
+        lines.append("    _mon = cpu.monitor")
+        lines.append("    ms = _mon.state")
+    if loop:
+        lines.append("    _n = 0")
+        lines.append(f"    _w = {worst}")
+    lines.append("    while True:")
+    lines.extend(e.lines)
+    for reg in sorted(e.written):
+        lines.append(f"    regs[{reg}] = r{reg}")
+    for flag in flags:
+        if flag in e.fwritten:
+            lines.append(f"    cpu.{flag} = {flag}")
+    if e.cycles_local:
+        lines.append("    cpu.cycles = cycles + _k")
+    else:
+        lines.append("    cpu.cycles += _k")
+    retired = "_n + _c" if loop else "_c"
+    lines.append(f"    cpu.retired += {retired}")
+    lines.append(f"    cpu.dyn_index += {retired}")
+    if monitor:
+        lines.append("    _mon.state = ms")
+    lines.append("    return _x")
+    return "\n".join(lines) + "\n", name, guard_count, worst
 
 
-def superblock_tables(cpu):
+def _trace_function(source: str, name: str):
+    """The function ``source`` defines, compiled at most once per process
+    while it stays among the :data:`CODE_CACHE_SIZE` most recent."""
+    with _CODE_LOCK:
+        fn = _CODE.get(source)
+        if fn is not None:
+            _CODE.move_to_end(source)
+            return fn
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<superblock>", "exec"), namespace)
+    fn = namespace[name]
+    with _CODE_LOCK:
+        _CODE[source] = fn
+        while len(_CODE) > CODE_CACHE_SIZE:
+            _CODE.popitem(last=False)
+    return fn
+
+
+class TraceTable:
+    """One image variant's traces, promoted one at a time.
+
+    ``compiled`` maps a hot trace head to ``(function, guard_count,
+    worst_cycles)`` — what the chaining loop enters.  ``pending`` maps
+    every still-cold head to the visits it needs before it is compiled:
+    :data:`HOT_STEPS` divided by the trace's static length, so each
+    visit stands for the instructions a pass through the trace steps.
+    """
+
+    def __init__(self, partition: _Partition, monitor: bool, inline: bool,
+                 div_bound: int):
+        self.monitor = monitor
+        self.inline = inline
+        self.div_bound = div_bound
+        self.compiled: dict = {}
+        self.pending: dict[int, int] = {}
+        self._blocks: dict[int, _Block] = {}
+        for block in partition.blocks:
+            length = len(block.body)
+            if inline and block.term is not None:
+                length += 1
+            if length:
+                self._blocks[block.addr] = block
+                self.pending[block.addr] = -(-HOT_STEPS // length)
+
+    def visit(self, pc: int, cpu):
+        """Count one cold entry at head ``pc``; the compiled entry once
+        the head is hot, else None.  Runner threads may share the image
+        without a lock: a lost count only delays a promotion, and a head
+        promoted twice compiles to the same function — neither can
+        change a result."""
+        left = self.pending.get(pc)
+        if left is None:
+            return self.compiled.get(pc)
+        if left > 1:
+            self.pending[pc] = left - 1
+            return None
+        source, name, guard_count, worst = _trace_source(
+            self._blocks[pc], cpu, cpu.image, self.monitor, self.inline,
+            self.div_bound,
+        )
+        entry = self.compiled[pc] = (
+            _trace_function(source, name), guard_count, worst
+        )
+        self.pending.pop(pc, None)
+        return entry
+
+
+def superblock_tables(cpu) -> TraceTable:
     """The trace table for ``cpu``'s image/cycle-model/monitor/spec
-    combination, built (and cached on the image) on first use."""
+    combination, partitioned (and cached on the image) on first use."""
     image = cpu.image
-    cache = image._superblock_cache
-    if cache is None:
-        cache = image._superblock_cache = {}
+    cache = _tier_cache(image)
     inline = cpu.spec is None or not cpu.spec.window
     pkey = "traces" if inline else "blocks"
     partition = cache.get(pkey)
     if partition is None:
-        partition = cache[pkey] = partition_image(image, traces=inline)
+        partition = cache.setdefault(pkey, partition_image(image, traces=inline))
     monitor = cpu.monitor is not None
     key = (_cycle_key(cpu, partition.push_counts), monitor, inline)
     table = cache.get(key)
     if table is None:
-        table = cache[key] = _compile_variant(
-            image, partition, cpu, monitor, inline
-        )
+        table = cache.setdefault(key, TraceTable(
+            partition, monitor, inline, _div_bound(cpu.cycles_model)
+        ))
+    return table
+
+
+def _tier_cache(image) -> dict:
+    """``image``'s tier state — decode-cache steps taken so far
+    (``"stepped"``), partitions and trace tables — created on first use
+    and dropped when the image is pickled."""
+    cache = image._superblock_cache
+    if cache is None:
+        cache = image._superblock_cache = {"stepped": 0}
+    return cache
+
+
+def _warm_table(cpu) -> Optional[TraceTable]:
+    """``cpu``'s trace table once its image has stepped
+    :data:`WARMUP_STEPS` instructions, else None (still cold)."""
+    if _tier_cache(cpu.image)["stepped"] < WARMUP_STEPS:
+        return None
+    table = cpu._sb_table = superblock_tables(cpu)
     return table
 
 
@@ -1343,11 +1434,13 @@ def superblock_tables(cpu):
 def run_superblock(
     cpu, max_cycles: int, stop_at_instruction: Optional[int] = None
 ) -> None:
-    """Superblock dispatch with windowed deoptimisation.
+    """Tiered dispatch with windowed deoptimisation.
 
     Mirrors ``CPU._run_fast``/``_run_hooked`` observable behaviour
-    exactly; see the module docstring for the deopt contract.
+    exactly; see the module docstring for the tier and deopt contracts.
     """
+    if cpu.status is not Status.RUNNING:
+        return
     pre_hooks = cpu.pre_hooks
     retire_hooks = cpu.retire_hooks
     monitor = cpu.monitor
@@ -1365,16 +1458,36 @@ def run_superblock(
             break
         lo_min = window[0] if lo_min is None else min(lo_min, window[0])
         hi_max = window[1] if hi_max is None else max(hi_max, window[1])
+    table = cpu._sb_table
     if stop_at_instruction is not None or not supported_retire or not bounded:
         # Full deoptimisation: checkpoint capture, golden-trace recording
-        # and unbounded fault models run the reference step loops.
-        if pre_hooks or retire_hooks or stop_at_instruction is not None:
-            cpu._run_hooked(max_cycles, stop_at_instruction)
-        else:
-            cpu._run_fast(max_cycles)
+        # and unbounded fault models run the decode-cache step loops.
+        start = cpu.dyn_index
+        cpu._run_hooked(max_cycles, stop_at_instruction)
+        if table is None:
+            _tier_cache(cpu.image)["stepped"] += cpu.dyn_index - start
         return
+    while table is None:
+        table = _warm_table(cpu)
+        if table is not None:
+            break
+        # The cold tier: step the decode cache, but only for the rest of
+        # the image's warm-up (every instruction costs at least a cycle),
+        # then look again — a long run tiers up part-way through.
+        cache = _tier_cache(cpu.image)
+        budget = min(max_cycles, cpu.cycles + WARMUP_STEPS - cache["stepped"])
+        start = cpu.dyn_index
+        if pre_hooks or retire_hooks:
+            cpu._run_hooked(budget, None)
+        else:
+            cpu._run_fast(budget)
+        cache["stepped"] += cpu.dyn_index - start
+        if cpu.status is not Status.TIMEOUT or budget >= max_cycles:
+            return
+        cpu.status = Status.RUNNING
 
-    blocks = superblock_tables(cpu)
+    blocks = table.compiled
+    pending = table.pending
     decode = cpu._decode
     regs = cpu.regs
     events = cpu._cfi_events
@@ -1385,9 +1498,11 @@ def run_superblock(
     try:
         if hi_max is not None:
             # Phase 1 — the fault window is still open: per-instruction
-            # stepping with hooks, identical to _run_hooked; traces are
-            # taken opportunistically while they provably stay below the
-            # window (looping traces never qualify).
+            # stepping with hooks, identical to _run_hooked; hot traces
+            # are taken opportunistically while they provably stay below
+            # the window (looping traces never qualify).  Heads visited
+            # here gain no heat: code that only runs ahead of a fault
+            # window could rarely be entered once compiled.
             while cpu.status is RUNNING and cpu.dyn_index < hi_max:
                 if cpu.cycles >= max_cycles:
                     cpu.status = Status.TIMEOUT
@@ -1423,8 +1538,8 @@ def run_superblock(
                 nstep += 1
                 if on_retire is not None:
                     on_retire(cpu, instr, list(events))
-        # Phase 2 — window closed (or no hooks at all): pure trace
-        # chaining; near-timeout traces and mid-trace entry points
+        # Phase 2 — window closed (or no hooks at all): trace chaining;
+        # cold heads, near-timeout traces and mid-trace entry points
         # (checkpoint restores) single-step through the decode cache,
         # which also keeps SpecEngine-wrapped Bcc on its one shared
         # retire path.
@@ -1434,6 +1549,8 @@ def run_superblock(
                 return
             pc = regs[PC]
             blk = blocks.get(pc)
+            if blk is None and pc in pending:
+                blk = table.visit(pc, cpu)
             # Compiled traces evaluate fused branch conditions inline and
             # never consult the one-shot branch_invert latch; while it is
             # pending, fall to single-stepping (the decode-cache handlers

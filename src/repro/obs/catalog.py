@@ -40,12 +40,12 @@ CATALOG: dict[str, tuple[str, str]] = {
     ),
     "repro_engine_superblock_blocks_total": (
         "counter",
-        "Compiled traces entered by superblock-engine trials.",
+        "Compiled traces entered by trials (hot-tier activity).",
     ),
     "repro_engine_superblock_deopt_steps_total": (
         "counter",
-        "Instructions the superblock engine single-stepped (deoptimised "
-        "around open fault windows and near-timeout tails).",
+        "Instructions trials single-stepped on a warm image (open fault "
+        "windows, cold heads, near-timeout tails).",
     ),
     "repro_engine_batch_retries_total": (
         "counter", "Trial batches resubmitted after a worker-pool rebuild."

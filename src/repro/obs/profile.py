@@ -74,8 +74,8 @@ class EngineProfiler:
 
     def sample_program(self, program: Any) -> None:
         """Sample every scheduler memoized on a compiled program — the
-        after-attack boundary for the in-process fork engine, whose fast
-        loop carries no hooks at all."""
+        after-attack boundary for in-process campaigns, whose trial loop
+        carries no hooks at all."""
         for scheduler in dict(getattr(program, "_schedulers", {}) or {}).values():
             self.sample_scheduler(scheduler)
 

@@ -15,8 +15,8 @@ submission order)`` and run them on worker threads via
 ``loop.run_in_executor`` so the event loop (and the HTTP tier on top of
 it) stays responsive.  Each runner slot owns a private
 :class:`~repro.toolchain.executor.CampaignExecutor` (``trial_workers``
-processes) to shard trials; with ``trial_workers=0`` trials run on the
-in-process fork engine.  Identical workloads hitting two slots at once
+processes) to shard trials; with ``trial_workers=0`` trials run
+in-process.  Identical workloads hitting two slots at once
 are serialised by a per-(program, workload) lock — the checkpoint-forked
 trial scheduler reuses one trial CPU per workload and is not
 re-entrant.

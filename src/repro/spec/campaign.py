@@ -43,7 +43,6 @@ def speculative_sweep(
     history_bits: int = 4,
     penalty: Optional[int] = None,
     max_cycles: int = 2_000_000,
-    engine: str = "fork",
     executor=None,
     record_trials: bool = False,
 ) -> AttackResult:
@@ -77,8 +76,8 @@ def speculative_sweep(
             )
     if focus is not None:
         # Resolve which branch occurrences land in the focus function —
-        # from the same memoized golden run the fork engine (and the
-        # trial records) will use.
+        # from the same memoized golden run the trials (and the trial
+        # records) will use.
         lo, hi = program.image.function_ranges[focus]
         trace = TrialScheduler.for_program(
             program, function, list(args), spec=spec
@@ -107,7 +106,6 @@ def speculative_sweep(
         models,
         speculative_sweep.attack_label,
         max_cycles=max_cycles,
-        engine=engine,
         executor=executor,
         record_trials=record_trials,
         spec=spec,

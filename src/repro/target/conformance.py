@@ -20,7 +20,7 @@ Checks (one function each, composable):
 * :func:`check_snapshot_restore` — a mid-block snapshot restored onto a
   fresh CPU replays the suffix to the identical final result.
 * :func:`check_dispatch_parity` — the reference isinstance interpreter
-  and the decode-cached dispatcher agree on golden runs.
+  and the production (superblock) dispatcher agree on golden runs.
 * :func:`check_cfi_retire_order` — the CFI monitor's retire hook
   observes the same retirement sequence on both dispatchers and the
   protected program completes cleanly.
@@ -226,18 +226,19 @@ def check_snapshot_restore(target: Target) -> None:
 
 # ---------------------------------------------------------------------------
 def check_dispatch_parity(target: Target) -> None:
-    """Reference interpreter vs decode-cached dispatch golden parity."""
+    """Reference interpreter vs production (superblock) dispatch golden
+    parity."""
     for scheme in ("none", "ancode"):
         program = _compiled(target, scheme)
         for args in (_ARGS, [3, 0], [200, 1000]):
             reference = program.run("f", args, dispatch="reference")
-            cached = program.run("f", args, dispatch="cached")
-            if reference != cached:
+            production = program.run("f", args)
+            if reference != production:
                 _fail(
                     target,
                     "dispatch-parity",
                     f"scheme {scheme}, args {args}: reference {reference} "
-                    f"!= cached {cached}",
+                    f"!= production {production}",
                 )
 
 
@@ -260,14 +261,14 @@ def check_cfi_retire_order(target: Target) -> None:
         return seen
 
     reference = retirements("reference")
-    cached = retirements("cached")
-    if reference != cached:
+    production = retirements("superblock")
+    if reference != production:
         _fail(
             target,
             "cfi",
             "retire-hook streams differ between dispatchers "
             f"(first divergence at index "
-            f"{next(i for i, (a, b) in enumerate(zip(reference, cached)) if a != b)})",
+            f"{next(i for i, (a, b) in enumerate(zip(reference, production)) if a != b)})",
         )
     if target.branch_mnemonic not in reference:
         _fail(

@@ -201,42 +201,3 @@ class CompileConfig:
             key = hashlib.sha256(canonical.encode()).hexdigest()
             object.__setattr__(self, "_cache_key", key)
         return key
-
-
-def coerce_config(
-    config: Optional[CompileConfig],
-    legacy_kwargs: dict[str, Any],
-    caller: str,
-    stacklevel: int = 3,
-) -> CompileConfig:
-    """Deprecation shim shared by the compile drivers.
-
-    ``legacy_kwargs`` maps old keyword names to the values the caller
-    passed (``None`` meaning "not passed" — no legacy knob ever accepted
-    ``None``).  Passing any legacy kwarg without ``config`` warns and
-    builds an equivalent :class:`CompileConfig`, so both call styles
-    produce byte-identical output; mixing the styles is an error.
-    """
-    import warnings
-
-    supplied = {k: v for k, v in legacy_kwargs.items() if v is not None}
-    if config is not None:
-        if supplied:
-            raise TypeError(
-                f"{caller}: pass either config=CompileConfig(...) or legacy "
-                f"keyword arguments, not both (got {sorted(supplied)})"
-            )
-        if not isinstance(config, CompileConfig):
-            raise TypeError(
-                f"{caller}: config must be a CompileConfig, "
-                f"got {type(config).__name__}"
-            )
-        return config
-    if supplied:
-        warnings.warn(
-            f"{caller}({', '.join(sorted(supplied))}=...) is deprecated; "
-            f"pass config=CompileConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    return CompileConfig(**supplied)

@@ -319,20 +319,13 @@ class CampaignBuilder:
             **kwargs,
         )
 
-    def run(
-        self,
-        executor=None,
-        engine: Optional[str] = None,
-        service=None,
-    ) -> CampaignReport:
+    def run(self, executor=None, service=None) -> CampaignReport:
         """Execute every queued attack and collect a :class:`CampaignReport`.
 
         ``executor`` — a :class:`~repro.toolchain.executor.CampaignExecutor`
         (or a worker count, pooled for the duration of this run) to shard
-        trials across processes.  ``engine`` forces a trial engine
-        (``"fork"``/``"replay"``/``"reference"``) on the attack suites that
-        support one.  Either is forwarded only to attack functions whose
-        signature accepts the corresponding keyword.
+        trials across processes; it is forwarded only to attack functions
+        whose signature accepts it.
 
         ``service`` — run the campaign on a :mod:`repro.service` instance
         instead of in-process: a
@@ -345,10 +338,10 @@ class CampaignBuilder:
         if not self._attacks:
             raise ValueError("campaign has no attacks; chain .attack(...) first")
         if service is not None:
-            if executor is not None or engine not in (None, "fork"):
+            if executor is not None:
                 raise ValueError(
-                    "service campaigns always run with engine='fork' on the "
-                    "service's own executors; drop executor/engine"
+                    "service campaigns run on the service's own executors; "
+                    "drop executor"
                 )
             return self._run_service(service)
         owned_executor = None
@@ -357,17 +350,12 @@ class CampaignBuilder:
 
             executor = owned_executor = CampaignExecutor(max_workers=executor)
         try:
-            return self._run(executor, engine)
+            return self._run(executor)
         finally:
             if owned_executor is not None:
                 owned_executor.close()
 
-    def analyze(
-        self,
-        executor=None,
-        engine: Optional[str] = None,
-        service=None,
-    ):
+    def analyze(self, executor=None, service=None):
         """Run the campaign and fold it into a per-instruction
         vulnerability map: the fluent terminal of :mod:`repro.analysis`.
 
@@ -381,7 +369,7 @@ class CampaignBuilder:
         """
         from repro.analysis.vulnmap import CampaignAnalysis, VulnerabilityMap
 
-        report = self.run(executor=executor, engine=engine, service=service)
+        report = self.run(executor=executor, service=service)
         vmap = VulnerabilityMap.build(
             self.program, self.function, self.args, report
         )
@@ -444,7 +432,7 @@ class CampaignBuilder:
         payload = client.run(self.to_job())
         return report_from_dict(payload["report"])
 
-    def _run(self, executor, engine: Optional[str]) -> CampaignReport:
+    def _run(self, executor) -> CampaignReport:
         import inspect
 
         report = CampaignReport(scheme=self.program.scheme)
@@ -456,8 +444,6 @@ class CampaignBuilder:
                 accepted = {}
             if executor is not None and "executor" in accepted:
                 call_kwargs.setdefault("executor", executor)
-            if engine is not None and "engine" in accepted:
-                call_kwargs.setdefault("engine", engine)
             # Builder campaigns always carry per-trial records, so every
             # report feeds repro.analysis (maps/diffs) and every service
             # result is identical to a direct run.  Override per attack

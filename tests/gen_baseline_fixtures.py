@@ -11,8 +11,8 @@ Regenerate (only when a deliberate, reviewed behaviour change lands)::
 
     PYTHONPATH=src:. python tests/gen_baseline_fixtures.py
 
-The capture itself is pure: fixed workloads, the deterministic ``fork``
-engine, and canonical (sorted-key) JSON.
+The capture itself is pure: fixed workloads, the deterministic
+production engine, and canonical (sorted-key) JSON.
 """
 
 from __future__ import annotations

@@ -84,14 +84,15 @@ class TestRecords:
                 engine=engine,
                 record_trials=True,
             ).records
-            for engine in ("fork", "replay", "reference")
+            for engine in ("superblock", "reference")
         }
-        assert rows["fork"] == rows["replay"] == rows["reference"]
-        assert len(rows["fork"]) == len(models)
+        assert rows["superblock"] == rows["reference"]
+        assert len(rows["superblock"]) == len(models)
         # Every row is [fire_index, outcome, exit_code] with fire >= 1
         # for these always-firing models.
         assert all(
-            row[0] >= 1 and isinstance(row[1], str) for row in rows["fork"]
+            row[0] >= 1 and isinstance(row[1], str)
+            for row in rows["superblock"]
         )
 
     def test_executor_rows_match_single_process(self, workbench):

@@ -63,7 +63,7 @@ class TestExpressionFuzz:
     def test_compiled_expression_matches_oracle(self, tree, a, b):
         text, oracle = tree
         source = f"u32 f(u32 a, u32 b) {{ return {text}; }}"
-        program = compile_source(source, scheme="none")
+        program = compile_source(source, config=CompileConfig(scheme="none"))
         expected = oracle(a, b) & MASK
         assert program.run("f", [a, b]).exit_code == expected
 
@@ -84,7 +84,7 @@ class TestExpressionFuzz:
             "protect u32 f(u32 a, u32 b) { "
             f"if ({left_text} < {right_text}) {{ return 1; }} return 0; }}"
         )
-        program = compile_source(source, scheme="ancode")
+        program = compile_source(source, config=CompileConfig(scheme="ancode"))
         env = {"a": a, "b": b}
         lv = sum(env.get(t, 0) if t in env else int(t) for t in lterms)
         rv = sum(env.get(t, 0) if t in env else int(t) for t in rterms)
@@ -105,8 +105,8 @@ class TestExpressionFuzz:
             "protect u32 f(u32 a, u32 b) { "
             "if (a - b < 100) { return 1; } return 0; }"
         )
-        protected = compile_source(source, scheme="ancode")
-        plain = compile_source(source, scheme="none")
+        protected = compile_source(source, config=CompileConfig(scheme="ancode"))
+        plain = compile_source(source, config=CompileConfig(scheme="none"))
         # a - b = -5: unsigned 0xFFFFFFFB (not < 100); signed -5 (< 100).
         assert plain.run("f", [5, 10]).exit_code == 0
         assert protected.run("f", [5, 10]).exit_code == 1
@@ -119,7 +119,7 @@ class TestExpressionFuzz:
             "protect u32 f(u32 a, u32 b) { "
             "if (a < b) { return 1; } return 0; }"
         )
-        program = compile_source(source, scheme="ancode")
+        program = compile_source(source, config=CompileConfig(scheme="ancode"))
         result = program.run("f", [70000, 0x40000000])
         assert result.status.value in ("cfi-violation", "exit")
         if result.status.value == "exit":
@@ -129,7 +129,7 @@ class TestExpressionFuzz:
     @settings(max_examples=10, deadline=None)
     def test_division_chain(self, a, b):
         source = "u32 f(u32 a, u32 b) { return (a / b) * b + a % b; }"
-        program = compile_source(source, scheme="none")
+        program = compile_source(source, config=CompileConfig(scheme="none"))
         assert program.run("f", [a, b]).exit_code == a
 
     @given(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=8))
@@ -148,19 +148,20 @@ class TestExpressionFuzz:
         """
         expected = sum(values) & MASK
         for scheme in ("none", "duplication", "ancode"):
-            program = compile_source(source, scheme=scheme)
+            program = compile_source(source, config=CompileConfig(scheme=scheme))
             assert program.run("f", []).exit_code == expected, scheme
 
 
 # ---------------------------------------------------------------------------
-# Control-flow skeleton fuzz: three-engine differential oracle
+# Control-flow skeleton fuzz: reference vs production differential oracle
 # ---------------------------------------------------------------------------
 # Random programs made of the shapes that stress the superblock trace
 # compiler — nested ifs (side exits), bounded loops (back edges and trace
-# re-entry), early returns (mid-trace exits) — are run on every dispatch
-# tier and under a single-fault campaign on every engine.  There is no
-# Python oracle here: the engines *are* each other's oracle, and any
-# mismatch is a reproducible seed.
+# re-entry), early returns (mid-trace exits) — are run, and swept by a
+# single-fault campaign, on the reference interpreter and on the
+# production engine under both promotion tiers (default constants, and
+# every trace forced hot).  There is no Python oracle here: the engines
+# *are* each other's oracle, and any mismatch is a reproducible seed.
 #
 # Every skeleton runs on both machine targets: per-target the engines
 # are each other's oracle, and across targets the unprotected scheme is
@@ -169,8 +170,8 @@ class TestExpressionFuzz:
 #
 # Repro recipe for a failing seed N:
 #
-#     PYTHONPATH=src:. python -c \
-#         "from tests.test_differential_fuzz import reproduce_cfg_seed; \
+#     PYTHONPATH=src:tests python -c \
+#         "from test_differential_fuzz import reproduce_cfg_seed; \
 #          reproduce_cfg_seed(N, target='rv32')"
 #
 # which reprints the generated MiniC source and re-runs both comparisons.
@@ -180,11 +181,11 @@ import random
 from repro.faults.isa_campaign import run_attack
 from repro.faults.models import BranchDirectionFlip, InstructionSkip
 from repro.toolchain import CompileConfig
+from tiers import TIERS, forced
 
 CFG_SEEDS = range(10)
 CFG_SCHEMES = ("none", "ancode")
 FUZZ_TARGETS = ("baseline", "rv32")
-_ENGINE_TIERS = ("reference", "cached", "superblock")
 _CMPS = ("<", "<=", "==", "!=", ">", ">=")
 
 
@@ -259,12 +260,12 @@ def _cfg_compile(source: str, scheme: str, target: str):
 
 
 def _golden_mismatch(program, args):
-    runs = {
-        dispatch: program.run("f", args, dispatch=dispatch)
-        for dispatch in _ENGINE_TIERS
-    }
-    baseline = runs["reference"]
-    return {d: r for d, r in runs.items() if r != baseline}
+    reference = program.run("f", args, dispatch="reference")
+    runs = {}
+    for tier in TIERS:
+        with forced(tier, program):
+            runs[tier] = program.run("f", args)
+    return {tier: r for tier, r in runs.items() if r != reference}
 
 
 def _campaign_tallies(program, args):
@@ -274,10 +275,15 @@ def _campaign_tallies(program, args):
         InstructionSkip(i) for i in range(1, golden.instructions + 1, stride)
     ]
     models += [BranchDirectionFlip(n) for n in range(1, 5)]
-    tallies = {}
-    for engine in ("reference", "fork", "superblock"):
+
+    def tally(engine="superblock"):
         result = run_attack(program, "f", args, models, "fuzz", engine=engine)
-        tallies[engine] = (result.outcomes, result.trials, result.wrong_codes)
+        return (result.outcomes, result.trials, result.wrong_codes)
+
+    tallies = {"reference": tally("reference")}
+    for tier in TIERS:
+        with forced(tier, program):
+            tallies[tier] = tally()
     return tallies
 
 
@@ -301,14 +307,15 @@ def reproduce_cfg_seed(seed: int, target: str = "baseline") -> None:
 class TestControlFlowFuzz:
     @pytest.mark.parametrize("target", FUZZ_TARGETS)
     @pytest.mark.parametrize("seed", CFG_SEEDS)
-    def test_three_engine_golden_equivalence(self, seed, target):
+    def test_reference_vs_production_golden_equivalence(self, seed, target):
         source = cfg_source_for_seed(seed)
         args = _cfg_args_for_seed(seed)
         for scheme in CFG_SCHEMES:
             program = _cfg_compile(source, scheme, target)
             mismatch = _golden_mismatch(program, args)
             assert not mismatch, (
-                f"seed {seed} scheme {scheme}: dispatch tiers diverge "
+                f"seed {seed} scheme {scheme}: production diverges from "
+                f"the reference "
                 f"{mismatch}; repro: reproduce_cfg_seed({seed}, "
                 f"target={target!r})\n{source}"
             )
@@ -321,9 +328,7 @@ class TestControlFlowFuzz:
         for scheme in CFG_SCHEMES:
             program = _cfg_compile(source, scheme, target)
             tallies = _campaign_tallies(program, args)
-            assert tallies["reference"] == tallies["fork"] == tallies[
-                "superblock"
-            ], (
+            assert len(set(map(repr, tallies.values()))) == 1, (
                 f"seed {seed} scheme {scheme}: campaign tallies diverge "
                 f"{tallies}; repro: reproduce_cfg_seed({seed}, "
                 f"target={target!r})\n{source}"

@@ -1,20 +1,22 @@
-"""Differential proof that the fast campaign engines are trace-equivalent
-to the reference one.
+"""Differential proof that the production campaign engine is
+trace-equivalent to the reference one.
 
-Three layers of equivalence, per the PR contract:
+Three layers of equivalence, each checked with production running under
+both promotion policies of ``tests/tiers.py`` — the default constants
+(small workloads stay on the cold decode-cache loops) and every trace
+forced hot (compiled traces everywhere):
 
 * **golden runs** — every device program, compiled under every registered
   scheme, executes identically (full ``ExecutionResult`` equality: status,
   exit code, cycles, retired instructions, console) on the original
-  ``isinstance``-chain interpreter, the decode-cached dispatcher, and the
-  superblock trace compiler;
+  ``isinstance``-chain interpreter and on the production engine;
 * **campaign tallies** — the stock attack suites produce identical
   ``AttackResult`` outcome tallies (and ``wrong_codes``, in order) on the
-  ``reference``, ``replay``, ``fork`` and ``superblock`` engines, and on
-  the parallel :class:`~repro.toolchain.executor.CampaignExecutor`;
-* **individual trials** — checkpoint-forked trials return the *same
-  ExecutionResult* (cycles included) as full replays, for every bundled
-  fault-model family, on both forking engines.
+  ``reference`` and production engines, and on the parallel
+  :class:`~repro.toolchain.executor.CampaignExecutor`;
+* **individual trials** — checkpoint-forked production trials return the
+  *same ExecutionResult* (cycles included) as full reference replays, for
+  every bundled fault-model family.
 """
 
 import pytest
@@ -44,6 +46,7 @@ from repro.minic import parse_to_ir
 from repro.minic.driver import compile_source
 from repro.programs import load_source
 from repro.toolchain import CompileConfig, list_schemes, table3_schemes
+from tiers import TIERS, forced
 
 ALL_SCHEMES = list_schemes()
 TABLE3 = table3_schemes()
@@ -76,18 +79,27 @@ def assert_same_result(a, b, context=""):
     assert a == b, f"{context}: {a} != {b}"
 
 
-#: every execution tier, slowest first: the isinstance-chain reference
-#: interpreter, the decode-cached step loop, and the superblock trace
-#: compiler.
-DISPATCHES = ("reference", "cached", "superblock")
+def production_runs(program, function, args, max_cycles=10_000_000):
+    """``(tier, result)`` of one production golden run per tier; callers
+    compare each with the reference run."""
+    runs = []
+    for tier in TIERS:
+        with forced(tier, program):
+            cpu, result = program.run_cpu(function, args, max_cycles)
+        if tier == "hot":
+            assert cpu._sb_blocks > 0, "hot tier never entered a trace"
+        runs.append((tier, result))
+    return runs
 
 
-def both_dispatches(program, function, args, max_cycles=10_000_000):
-    """One golden run per dispatch tier; callers assert all are equal."""
-    return [
-        program.run(function, args, max_cycles=max_cycles, dispatch=dispatch)
-        for dispatch in DISPATCHES
-    ]
+def assert_golden_equivalent(program, function, args, context,
+                             max_cycles=10_000_000):
+    reference = program.run(
+        function, args, max_cycles=max_cycles, dispatch="reference"
+    )
+    for tier, result in production_runs(program, function, args, max_cycles):
+        assert_same_result(reference, result, f"{context}/{tier}")
+    return reference
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +119,17 @@ class TestGoldenEquivalence:
         program = compile_source(
             load_source(name), config=CompileConfig(scheme=scheme)
         )
-        reference, cached, superblock = both_dispatches(program, function, args)
-        assert_same_result(reference, cached, f"{name}/{scheme}{args}")
-        assert_same_result(reference, superblock, f"{name}/{scheme}{args}/superblock")
+        reference = assert_golden_equivalent(
+            program, function, args, f"{name}/{scheme}{args}"
+        )
         assert reference.ok
 
     @pytest.mark.parametrize("scheme", TABLE3)
     def test_sha256(self, scheme):
         program = compile_ir(_sha_module(), config=CompileConfig(scheme=scheme))
         for word_index in (0, 7):
-            reference, cached, superblock = both_dispatches(
-                program, "run_sha", [word_index]
-            )
-            assert_same_result(reference, cached, f"sha256/{scheme}[{word_index}]")
-            assert_same_result(
-                reference, superblock, f"sha256/{scheme}[{word_index}]/superblock"
+            reference = assert_golden_equivalent(
+                program, "run_sha", [word_index], f"sha256/{scheme}[{word_index}]"
             )
             assert reference.ok
 
@@ -133,10 +141,8 @@ class TestGoldenEquivalence:
             ("run_modmul", [999999, 123456]),
             ("run_modinv", [12345]),
         ):
-            reference, cached, superblock = both_dispatches(program, function, args)
-            assert_same_result(reference, cached, f"ecverify/{scheme}/{function}")
-            assert_same_result(
-                reference, superblock, f"ecverify/{scheme}/{function}/superblock"
+            reference = assert_golden_equivalent(
+                program, function, args, f"ecverify/{scheme}/{function}"
             )
             assert reference.ok
 
@@ -147,11 +153,10 @@ class TestGoldenEquivalence:
             prepare_bootloader_module(image),
             config=CompileConfig(scheme=scheme, params=bootloader_params()),
         )
-        reference, cached, superblock = both_dispatches(
-            program, "bootloader_main", [], max_cycles=30_000_000
+        reference = assert_golden_equivalent(
+            program, "bootloader_main", [], f"bootloader/{scheme}",
+            max_cycles=30_000_000,
         )
-        assert_same_result(reference, cached, f"bootloader/{scheme}")
-        assert_same_result(reference, superblock, f"bootloader/{scheme}/superblock")
         assert reference.exit_code == BOOT_OK
 
 
@@ -162,7 +167,7 @@ def _tally(result):
     return (result.attack, result.outcomes, result.trials, result.wrong_codes)
 
 
-def _stock_suite(program, function, args, engine):
+def _stock_suite(program, function, args, engine="superblock"):
     results = [
         skip_sweep(program, function, args, engine=engine),
         branch_flip_sweep(program, function, args, max_branches=8, engine=engine),
@@ -170,6 +175,13 @@ def _stock_suite(program, function, args, engine):
         operand_corruption_sweep(program, function, args, engine=engine),
     ]
     return [_tally(r) for r in results]
+
+
+def assert_tiers_match(reference, program, run):
+    """``run()`` under every production tier must equal ``reference``."""
+    for tier in TIERS:
+        with forced(tier, program):
+            assert run() == reference, f"production ({tier}) != reference"
 
 
 class TestCampaignEquivalence:
@@ -187,10 +199,9 @@ class TestCampaignEquivalence:
             load_source(name), config=CompileConfig(scheme=scheme)
         )
         reference = _stock_suite(program, function, args, "reference")
-        replay = _stock_suite(program, function, args, "replay")
-        fork = _stock_suite(program, function, args, "fork")
-        superblock = _stock_suite(program, function, args, "superblock")
-        assert reference == replay == fork == superblock
+        assert_tiers_match(
+            reference, program, lambda: _stock_suite(program, function, args)
+        )
 
     def test_windowed_operand_corruption(self):
         program = compile_source(
@@ -198,20 +209,15 @@ class TestCampaignEquivalence:
         )
         args = [7, 8]
         window = encoded_window(program, "integer_compare", args)
-        tallies = {
-            engine: _tally(
+
+        def sweep(engine="superblock"):
+            return _tally(
                 operand_corruption_sweep(
                     program, "integer_compare", args, window=window, engine=engine
                 )
             )
-            for engine in ("reference", "replay", "fork", "superblock")
-        }
-        assert (
-            tallies["reference"]
-            == tallies["replay"]
-            == tallies["fork"]
-            == tallies["superblock"]
-        )
+
+        assert_tiers_match(sweep("reference"), program, sweep)
 
     @pytest.mark.parametrize("scheme", ["none", "ancode"])
     def test_sha256_strided_campaign_all_engines(self, scheme):
@@ -224,33 +230,37 @@ class TestCampaignEquivalence:
             InstructionSkip(i)
             for i in range(1, total + 1, max(1, total // 40))
         ]
-        tallies = {
-            engine: _tally(
+
+        def campaign(engine="superblock"):
+            return _tally(
                 run_attack(program, "run_sha", [0], models, "skip", engine=engine)
             )
-            for engine in ("reference", "fork", "superblock")
-        }
-        assert tallies["reference"] == tallies["fork"] == tallies["superblock"]
+
+        assert_tiers_match(campaign("reference"), program, campaign)
 
     def test_adversary_composites_all_engines(self):
         # Composite k=2 trials chain resumed hooks whose fire indices can
         # shift once the first fault diverges the run — exactly the case
         # that forces the superblock engine to deoptimise for the whole
         # trial.  The tallies must not move an outcome.
-        from repro.faults.adversary import adversary_sweep
+        from repro.faults.adversary import adversary_sweep, compose_space
 
         program = compile_source(
             load_source("integer_compare"), config=CompileConfig(scheme="ancode")
         )
-        tallies = {
-            engine: _tally(
-                adversary_sweep(
-                    program, "integer_compare", [7, 7], k=2, engine=engine
-                )
+        args = [7, 7]
+        space = compose_space(program, "integer_compare", args, k=2)
+        reference = _tally(
+            run_attack(
+                program, "integer_compare", args, space.trials,
+                adversary_sweep.attack_label, engine="reference",
             )
-            for engine in ("reference", "fork", "superblock")
-        }
-        assert tallies["reference"] == tallies["fork"] == tallies["superblock"]
+        )
+        assert_tiers_match(
+            reference,
+            program,
+            lambda: _tally(adversary_sweep(program, "integer_compare", args, k=2)),
+        )
 
     def test_parallel_executor_matches_serial(self):
         from repro.toolchain import CampaignExecutor
@@ -261,21 +271,14 @@ class TestCampaignEquivalence:
         total = program.trial_scheduler("run_memcmp", [16]).golden.instructions
         models = [InstructionSkip(i) for i in range(1, total + 1, 7)]
         serial = run_attack(program, "run_memcmp", [16], models, "skip")
-        with CampaignExecutor(max_workers=2) as executor:
-            parallel = run_attack(
-                program, "run_memcmp", [16], models, "skip", executor=executor
-            )
-            parallel_superblock = run_attack(
-                program,
-                "run_memcmp",
-                [16],
-                models,
-                "skip",
-                executor=executor,
-                engine="superblock",
-            )
-        assert _tally(serial) == _tally(parallel)
-        assert _tally(serial) == _tally(parallel_superblock)
+        for tier in TIERS:
+            # Forked workers inherit the promotion constants in force
+            # when the pool starts.
+            with forced(tier, program), CampaignExecutor(max_workers=2) as executor:
+                parallel = run_attack(
+                    program, "run_memcmp", [16], models, "skip", executor=executor
+                )
+            assert _tally(serial) == _tally(parallel), tier
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +308,7 @@ def _model_zoo(program, function, args):
 
 
 class TestTrialEquivalence:
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("scheme", TABLE3)
     @pytest.mark.parametrize(
         "name,function,args",
@@ -313,43 +317,29 @@ class TestTrialEquivalence:
             ("memcmp", "run_memcmp", [8]),
         ],
     )
-    def test_fork_equals_replay_per_trial(self, scheme, name, function, args):
+    def test_production_equals_reference_per_trial(
+        self, tier, scheme, name, function, args
+    ):
+        # Every zoo trial forks from a checkpoint onto the production
+        # engine — hot, each trial single-steps while its fault window
+        # is open and chains compiled traces either side — yet must
+        # return the identical ExecutionResult (cycles included) as a
+        # fresh reference-interpreter replay.
         program = compile_source(
             load_source(name), config=CompileConfig(scheme=scheme)
         )
-        scheduler = TrialScheduler.for_program(program, function, args)
-        for model in _model_zoo(program, function, args):
-            forked = scheduler.run_trial(model)
-            cpu = program.prepare_cpu(function, args, pre_hooks=[model.hook()])
-            replayed = cpu.run(2_000_000)
-            assert_same_result(forked, replayed, f"{name}/{scheme}/{model}")
-
-    @pytest.mark.parametrize("scheme", TABLE3)
-    @pytest.mark.parametrize(
-        "name,function,args",
-        [
-            ("integer_compare", "integer_compare", [7, 7]),
-            ("memcmp", "run_memcmp", [8]),
-        ],
-    )
-    def test_superblock_equals_replay_per_trial(self, scheme, name, function, args):
-        # Same zoo, but trials fork onto superblock-dispatch CPUs: each
-        # trial single-steps while its fault window is open and chains
-        # compiled traces either side, yet must return the identical
-        # ExecutionResult (cycles included) as a cached-dispatch replay.
-        program = compile_source(
-            load_source(name), config=CompileConfig(scheme=scheme)
-        )
-        scheduler = TrialScheduler.for_program(
-            program, function, args, dispatch="superblock"
-        )
-        for model in _model_zoo(program, function, args):
-            forked = scheduler.run_trial(model)
-            cpu = program.prepare_cpu(function, args, pre_hooks=[model.hook()])
-            replayed = cpu.run(2_000_000)
-            assert_same_result(
-                forked, replayed, f"{name}/{scheme}/{model}/superblock"
-            )
+        with forced(tier, program):
+            scheduler = TrialScheduler.for_program(program, function, args)
+            for model in _model_zoo(program, function, args):
+                forked = scheduler.run_trial(model)
+                cpu = program.prepare_cpu(
+                    function, args, pre_hooks=[model.hook()],
+                    dispatch="reference",
+                )
+                replayed = cpu.run(2_000_000)
+                assert_same_result(forked, replayed, f"{name}/{scheme}/{model}")
+        if tier == "hot":
+            assert scheduler.stats.superblock_blocks > 0
 
     def test_forced_small_interval_and_thinning(self):
         # A tiny interval with a tight checkpoint budget exercises the
@@ -366,8 +356,44 @@ class TestTrialEquivalence:
         for occurrence in (1, total // 3, total // 2, total - 1, total):
             model = InstructionSkip(occurrence)
             forked = scheduler.run_trial(model)
-            cpu = program.prepare_cpu("run_memcmp", [32], pre_hooks=[model.hook()])
+            cpu = program.prepare_cpu(
+                "run_memcmp", [32], pre_hooks=[model.hook()], dispatch="reference"
+            )
             assert_same_result(forked, cpu.run(2_000_000), f"skip@{occurrence}")
+
+    def test_scrub_restores_zero_and_image_pages(self):
+        # The reused trial CPU keeps only the image's non-zero pages
+        # pristine.  A trial that dirties both an all-zero page and an
+        # image data page must leave the next trial — result and memory —
+        # exactly as on a fresh CPU.
+        from repro.isa.cpu import PAGE_BITS
+
+        program = compile_source(
+            load_source("memcmp"), config=CompileConfig(scheme="ancode")
+        )
+        args = [16]
+        data_addr = program.image.data_addrs["cmp_a"]
+        zero_addr = 0x80000  # RAM far below the stack, never written
+
+        class Scribble:
+            def hook(self):
+                def scribble(cpu, instr):
+                    cpu.store(zero_addr, 0xDEADBEEF, 4)
+                    cpu.store(data_addr, 0x5A, 1)
+                    return False
+
+                return scribble
+
+        scheduler = TrialScheduler(program, "run_memcmp", args)
+        scheduler.run_trial(Scribble())
+        assert data_addr >> PAGE_BITS in scheduler._pristine
+        assert zero_addr >> PAGE_BITS not in scheduler._pristine
+        assert len(scheduler._pristine) <= 4
+        model = InstructionSkip(5)
+        result = scheduler.run_trial(model)
+        fresh = program.prepare_cpu("run_memcmp", args, pre_hooks=[model.hook()])
+        assert result == fresh.run(2_000_000)
+        assert scheduler._trial_cpu.memory == fresh.memory
 
     def test_short_circuit_counts_never_firing_trials(self):
         program = compile_source(
@@ -392,23 +418,21 @@ class TestTrialEquivalence:
         clone.restore(snap)
         assert clone.run(10_000_000) == final
 
-    def test_superblock_mid_block_snapshot_roundtrip(self):
+    def test_superblock_mid_block_snapshot_roundtrip(self, hot_tiers):
         # stop_at_instruction lands the CPU mid-superblock by trace
         # geometry; the engine deoptimises such runs to the step loop, so
         # the snapshot is taken at an exact architectural boundary.  The
         # suffix must replay identically whether the resumed CPU chains
-        # compiled traces or steps the decode cache.
+        # compiled traces or runs the reference interpreter.
         program = compile_source(
             load_source("memcmp"), config=CompileConfig(scheme="ancode")
         )
-        cpu = program.prepare_cpu(
-            "run_memcmp", [64], dispatch="superblock", track_pages=True
-        )
+        cpu = program.prepare_cpu("run_memcmp", [64], track_pages=True)
         partial = cpu.run(10_000_000, stop_at_instruction=500)
         assert partial.instructions == 500
         snap = cpu.snapshot()
         final = cpu.run(10_000_000)
-        for dispatch in DISPATCHES:
+        for dispatch in ("reference", "superblock"):
             clone = program.prepare_cpu("run_memcmp", [64], dispatch=dispatch)
             clone.restore(snap)
             assert_same_result(
@@ -441,26 +465,30 @@ class TestSpeculativeEquivalence:
         program = compile_source(
             load_source(name), config=CompileConfig(scheme=scheme)
         )
-        tallies = {
-            engine: _tally(
-                speculative_sweep(
-                    program, function, args, max_branches=8, engine=engine
-                )
+        # speculative_sweep(max_branches=8) at its defaults: one
+        # PredictorFlip per golden branch occurrence, twobit, W=8.
+        reference = _tally(
+            run_attack(
+                program, function, args,
+                [PredictorFlip(n) for n in range(1, 9)],
+                speculative_sweep.attack_label,
+                engine="reference",
+                spec=SpecConfig(window=8, predictor="twobit"),
             )
-            for engine in ("reference", "replay", "fork", "superblock")
-        }
-        assert (
-            tallies["reference"]
-            == tallies["replay"]
-            == tallies["fork"]
-            == tallies["superblock"]
+        )
+        assert_tiers_match(
+            reference,
+            program,
+            lambda: _tally(
+                speculative_sweep(program, function, args, max_branches=8)
+            ),
         )
 
     @pytest.mark.parametrize("predictor", sorted(PREDICTORS))
     def test_golden_dispatch_parity_per_predictor(self, predictor):
-        # Both dispatchers must retire branches through the same
-        # speculative path: identical results *and* identical transient
-        # digests, whatever the predictor.
+        # Both engines must retire branches through the same speculative
+        # path: identical results *and* identical transient digests,
+        # whatever the predictor.
         program = compile_source(
             load_source("integer_compare"), config=CompileConfig(scheme="ancode")
         )
@@ -469,11 +497,11 @@ class TestSpeculativeEquivalence:
             reference = program.run(
                 "integer_compare", args, dispatch="reference", spec=spec
             )
-            cached = program.run(
-                "integer_compare", args, dispatch="cached", spec=spec
-            )
-            assert_same_result(reference, cached, f"{predictor}{args}")
-            assert reference.spec == cached.spec
+            for tier in TIERS:
+                with forced(tier, program):
+                    production = program.run("integer_compare", args, spec=spec)
+                assert_same_result(reference, production, f"{predictor}{args}")
+                assert reference.spec == production.spec
 
     @pytest.mark.parametrize("predictor", sorted(PREDICTORS))
     def test_fast_and_hooked_loops_share_the_retire_path(self, predictor):
@@ -588,7 +616,8 @@ class TestSpeculativeEquivalence:
             model = PredictorFlip(occurrence)
             forked = scheduler.run_trial(model)
             cpu = program.prepare_cpu(
-                "run_memcmp", [8], pre_hooks=[model.hook()], spec=spec
+                "run_memcmp", [8], pre_hooks=[model.hook()], spec=spec,
+                dispatch="reference",
             )
             replayed = cpu.run(2_000_000)
             assert_same_result(forked, replayed, f"predictor-flip@{occurrence}")

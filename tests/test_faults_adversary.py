@@ -7,8 +7,8 @@ Three contracts:
   included) to the plain single-fault engine, for every device program
   and registered scheme;
 * **k=2 equivalence** — composite trials produce identical results on
-  the fork, replay and reference engines, and across the parallel
-  executor, including composites whose *second* fault counts branch
+  the reference and production engines (production under both
+  promotion tiers), and across the parallel executor, including composites whose *second* fault counts branch
   occurrences after the first fault has diverged the control flow (the
   ``resumed_hook`` prefix-charging path);
 * **pruning soundness** — on an unprotected ``integer_compare`` the
@@ -21,7 +21,6 @@ import pytest
 
 from repro.faults.adversary import (
     CompositeFault,
-    adversary_sweep,
     compose_space,
     first_fault_space,
 )
@@ -40,6 +39,7 @@ from repro.faults.scheduler import TrialScheduler
 from repro.minic.driver import compile_source
 from repro.programs import load_source
 from repro.toolchain import CompileConfig, list_schemes, table3_schemes
+from tiers import TIERS, forced
 
 ALL_SCHEMES = list_schemes()
 TABLE3 = table3_schemes()
@@ -155,20 +155,30 @@ class TestCompositeEquivalence:
             ("memcmp", "run_memcmp", [8]),
         ],
     )
-    def test_fork_equals_replay_per_trial(self, scheme, name, function, args):
+    def test_production_equals_reference_per_trial(
+        self, scheme, name, function, args
+    ):
         program = _compile(name, scheme)
-        scheduler = TrialScheduler.for_program(program, function, args)
-        for composite in _composite_zoo(program, function, args):
-            forked = scheduler.run_trial(composite)
-            cpu = program.prepare_cpu(function, args, pre_hooks=[composite.hook()])
-            replayed = cpu.run(2_000_000)
-            assert forked == replayed, (name, scheme, composite)
+        zoo = _composite_zoo(program, function, args)
+        replayed = [
+            program.prepare_cpu(
+                function, args, pre_hooks=[c.hook()], dispatch="reference"
+            ).run(2_000_000)
+            for c in zoo
+        ]
+        for tier in TIERS:
+            with forced(tier, program):
+                scheduler = TrialScheduler.for_program(program, function, args)
+                for composite, want in zip(zoo, replayed):
+                    forked = scheduler.run_trial(composite)
+                    assert forked == want, (name, scheme, tier, composite)
 
     def test_all_engines_agree_on_pruned_space(self):
         program = _compile("integer_compare", "duplication")
         space = compose_space(program, "integer_compare", [7, 7], window=12)
-        tallies = {
-            engine: _tally(
+
+        def tally(engine="superblock"):
+            return _tally(
                 run_attack(
                     program,
                     "integer_compare",
@@ -178,9 +188,11 @@ class TestCompositeEquivalence:
                     engine=engine,
                 )
             )
-            for engine in ("fork", "replay", "reference")
-        }
-        assert tallies["fork"] == tallies["replay"] == tallies["reference"]
+
+        reference = tally("reference")
+        for tier in TIERS:
+            with forced(tier, program):
+                assert tally() == reference, tier
 
     def test_executor_shards_composites_unchanged(self):
         from repro.toolchain import CampaignExecutor
@@ -377,7 +389,7 @@ class TestAdversaryIntegration:
             [7, 8],
             CompileConfig(scheme="ancode"),
         ).adversary(k=2, window=16)
-        direct = builder.run(engine="fork")
+        direct = builder.run()
         job = builder.to_job(title="adversary")
         decoded = job_from_dict(json.loads(json.dumps(job.to_dict())))
         assert decoded == job and decoded.job_id() == job.job_id()
@@ -394,7 +406,10 @@ class TestAdversaryIntegration:
         with pytest.raises(JobError):
             AttackSpec.make("adversary", nonsense=1)
 
-    def test_sweep_rejects_unknown_engine(self):
+    def test_composite_trials_reject_unknown_engine(self):
         program = _compile("integer_compare", "ancode")
-        with pytest.raises(ValueError):
-            adversary_sweep(program, "integer_compare", [7, 7], engine="warp")
+        space = compose_space(program, "integer_compare", [7, 7], window=4)
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_attack(
+                program, "integer_compare", [7, 7], space.trials, engine="fork"
+            )

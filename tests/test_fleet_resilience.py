@@ -78,7 +78,7 @@ def direct_report(workbench, program_name, function, args, scheme):
         )
         .attack(branch_flip_sweep, max_branches=8)
         .attack(repeated_branch_flip)
-        .run(engine="fork")
+        .run()
     )
     return report_to_dict(report)
 

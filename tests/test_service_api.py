@@ -4,7 +4,7 @@ The acceptance contract (ISSUE 3):
 
 * submit -> stream -> results works over HTTP;
 * service-run campaigns are **result-identical** to a direct
-  ``CampaignBuilder.run(engine="fork")`` for every device program x
+  ``CampaignBuilder.run()`` for every device program x
   scheme in the quick suite;
 * a second submission of the same job is answered from the store
   without re-executing a single trial — in-process and across a
@@ -149,7 +149,7 @@ class TestEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# Result identity: service == direct CampaignBuilder.run(engine="fork")
+# Result identity: service == direct CampaignBuilder.run()
 # ---------------------------------------------------------------------------
 class TestResultIdentity:
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -163,7 +163,7 @@ class TestResultIdentity:
             workbench.campaign(source, function, list(args), config)
             .attack(branch_flip_sweep, max_branches=8)
             .attack(repeated_branch_flip)
-            .run(engine="fork")
+            .run()
         )
         remote = (
             workbench.campaign(source, function, list(args), config)
@@ -173,39 +173,32 @@ class TestResultIdentity:
         )
         assert report_to_dict(remote) == report_to_dict(direct)
 
-    def test_service_superblock_engine_identity(self, workbench):
-        """The process-wide engine knob: a service running on the
-        superblock engine must serve reports byte-identical to a direct
-        fork-engine run (the engines are result-identical, so the knob
-        is pure throughput)."""
-        from repro.service.jobs import default_engine, set_default_engine
-
+    def test_service_matches_reference_engine(self, workbench):
+        """The service's production engine must serve reports
+        byte-identical to a direct run on the reference interpreter."""
         source = load_source("memcmp")
         config = CompileConfig(scheme="ancode")
         direct = (
             workbench.campaign(source, "run_memcmp", [16], config)
-            .attack(branch_flip_sweep, max_branches=8)
-            .attack(repeated_branch_flip)
-            .run(engine="fork")
+            .attack(branch_flip_sweep, max_branches=8, engine="reference")
+            .attack(repeated_branch_flip, engine="reference")
+            .run()
         )
-        previous = default_engine()
-        set_default_engine("superblock")
-        try:
-            with BackgroundService(runners=1) as svc:
-                client = svc.client()
-                job = quick_job("memcmp", "run_memcmp", (16,), "ancode")
-                submitted = client.submit(job)
-                client.wait(submitted["job_id"])
-                result = client.results(submitted["job_id"])
-        finally:
-            set_default_engine(previous)
-        assert report_to_dict(direct) == result["report"]
+        with BackgroundService(runners=1) as svc:
+            client = svc.client()
+            job = quick_job("memcmp", "run_memcmp", (16,), "ancode")
+            submitted = client.submit(job)
+            client.wait(submitted["job_id"])
+            result = client.results(submitted["job_id"])
 
-    def test_engine_knob_rejects_unknown_engines(self):
-        from repro.service.jobs import JobError, set_default_engine
+        def verdicts(report):
+            # simulated_cycles is engine bookkeeping (a forked trial does
+            # not re-simulate its checkpointed prefix), not a verdict.
+            for attack in report["attacks"].values():
+                attack.pop("simulated_cycles")
+            return report
 
-        with pytest.raises(JobError):
-            set_default_engine("warp")
+        assert verdicts(report_to_dict(direct)) == verdicts(result["report"])
 
     def test_identity_with_process_sharded_trials(self):
         """trial_workers>0: the executor path must merge to the same report."""
@@ -216,7 +209,7 @@ class TestResultIdentity:
             workbench.campaign(source, "run_memcmp", [16], config)
             .attack(branch_flip_sweep, max_branches=8)
             .attack(repeated_branch_flip)
-            .run(engine="fork")
+            .run()
         )
         with BackgroundService(runners=1, trial_workers=2) as svc:
             client = svc.client()
